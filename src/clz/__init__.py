@@ -1,9 +1,9 @@
 """clz — a small Lisp with a lazy calling convention.
 
-Functions defined with ``deflazy`` exist in two modes at once: a strict
-version for ordinary calls and a lazy twin invoked through ``lazy-call``,
-which passes constants through and wraps every other argument as a thunk
-forced only when the body reads the parameter.
+A function defined with ``deflazy`` is one function with two modes: strict
+for ordinary calls, and lazy when entered through ``lazy-call``, which
+passes constants through and wraps every other argument as a thunk forced
+only when the body reads the parameter.
 """
 
 from .core import Environment, Interpreter

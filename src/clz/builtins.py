@@ -115,7 +115,7 @@ def _bi_funcall(interp, args):
     fn = args[0]
     if isinstance(fn, Symbol):
         fn = interp.lookup(fn, interp.global_env)
-    return interp.apply_strict(fn, list(args[1:]))
+    return interp.apply(fn, args[1:])
 
 
 def _bi_not(interp, args):

@@ -77,21 +77,43 @@ def _kind_label(err: LispError) -> str:
 
 
 def _repl(interp: Interpreter) -> int:
+    """Read, evaluate and print until EOF.
+
+    A form left open at the end of a line (an incomplete read) is
+    continued on the next lines. If EOF comes first, its read-error is
+    printed, and the lines after the one it began on are read again.
+    """
     out = sys.stdout
+    lines: list[str] = []   # the lines of a form not yet closed
+    replay: list[str] = []  # lines read again after an unclosed form
+    pending = None          # the read-error that keeps ``lines`` open
     while True:
-        out.write("clz> ")
-        out.flush()
-        line = sys.stdin.readline()
+        if replay:
+            line = replay.pop(0)
+        else:
+            out.write("...  " if lines else "clz> ")
+            out.flush()
+            line = sys.stdin.readline()
         if line == "":
-            out.write("\n")
-            return 0
-        if not line.strip():
+            if not lines:
+                out.write("\n")
+                return 0
+            out.write(f"read-error at {pending.where()}: {pending.message}\n")
+            replay, lines = lines[1:], []
             continue
+        if not lines and not line.strip():
+            continue
+        lines.append(line)
         try:
-            forms = read_source(line)
+            forms = read_source("".join(lines))
         except ReadError as err:
-            out.write(f"read-error at {err.where()}: {err.message}\n")
+            if err.incomplete:
+                pending = err
+            else:
+                out.write(f"read-error at {err.where()}: {err.message}\n")
+                lines = []
             continue
+        lines = []
         for form in forms:
             try:
                 value = interp.eval_top(form)

@@ -1,9 +1,9 @@
 """Evaluator core: environments, special forms, application, binding.
 
-An Interpreter owns a global environment, the lazy-function registry, the
-effect/thunk counters, and the step and depth budgets. Laziness shows up
-here in exactly two places: symbol reads force lazy binding slots, and
-bind_lambda_list has a lazy mode that creates those slots.
+An Interpreter owns a global environment, the effect/thunk counters, and
+the step and depth budgets. Laziness shows up here in exactly two places:
+symbol reads force lazy binding slots, and apply/bind_lambda_list have a
+lazy mode that creates those slots.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from . import builtins as _builtins
 from .errors import EvalError, LispError, StepLimitExceeded
 from .lambdalist import LambdaList, parse_lambda_list
 from .lazy import (
-    eval_deflazy,
+    LAMBDA,
     eval_delay,
+    eval_lambda,
     eval_lazify,
     eval_lazy_call,
     force,
@@ -60,9 +61,6 @@ class Environment:
     def define(self, symbol: Symbol, value) -> None:
         self.vars[symbol] = value
 
-    def define_lazy(self, symbol: Symbol, cell) -> None:
-        self.vars[symbol] = LazyBinding(cell)
-
 
 class LazyBinding:
     """Marks an environment slot whose cell is forced on every read."""
@@ -74,7 +72,7 @@ class LazyBinding:
 
 
 class Interpreter:
-    """One evaluation universe: bindings, registry, counters, budgets.
+    """One evaluation universe: bindings, counters, budgets.
 
     Instances are independent and single-threaded; never share one across
     threads. ``memoize`` selects call-by-need thunks instead of the
@@ -95,7 +93,6 @@ class Interpreter:
         self.recursion_limit = recursion_limit
         self.stdout = stdout if stdout is not None else sys.stdout
         self.global_env = Environment()
-        self.lazy_registry: dict = {}
         self.tick_count = 0
         self.thunk_allocations = 0
         self._steps = 0
@@ -162,7 +159,7 @@ class Interpreter:
                     return handler(self, form, env)
             fn = self.evaluate(datum[0], env)
             args = [self.evaluate(arg, env) for arg in datum[1:]]
-            return self.apply_strict(fn, args, form)
+            return self.apply(fn, args)
         except LispError as err:
             if err.line is None:
                 err.line, err.col = form.line, form.col
@@ -192,36 +189,33 @@ class Interpreter:
 
     # -------------------------------------------------------- application
 
-    def apply_strict(self, fn, args: list, form: Form | None = None):
-        """Apply a function to already-evaluated argument values."""
-        line = form.line if form is not None else None
-        col = form.col if form is not None else None
-        if isinstance(fn, (FunctionObject, BuiltinFunction)) and fn.lazy:
+    def apply(self, fn, args: list, lazy: bool = False):
+        """Apply a function to its arguments.
+
+        A strict call passes evaluated values and refuses a lazy-mode
+        function. A lazy call (from lazy-call) passes values and thunks:
+        parameters bind lazily, and a builtin gets its arguments forced.
+        An error raised here has no position; the evaluate call around
+        it gives it the calling form's.
+        """
+        kind = type(fn)
+        if kind is not FunctionObject and kind is not BuiltinFunction:
+            raise EvalError(f"{print_value(fn)} is not a function",
+                            None, None, kind="not-a-function")
+        if fn.lazy and not lazy:
             raise EvalError(
                 f"{print_value(fn)} has the lazy calling convention; "
                 "call it with lazy-call",
-                line, col, kind="lazy-through-strict")
-        if isinstance(fn, BuiltinFunction):
-            self._check_builtin_arity(fn, len(args), line, col)
+                None, None, kind="lazy-through-strict")
+        if kind is BuiltinFunction:
+            if lazy:
+                args = [force(self, a) for a in args]
+            self._check_builtin_arity(fn, len(args))
             return fn.fn(self, args)
-        if isinstance(fn, FunctionObject):
-            frame = self.bind_lambda_list(fn.lambda_list, args, lazy=False,
-                                          parent=fn.closure, fn=fn)
-            return self.eval_body(fn.body, frame)
-        raise EvalError(f"{print_value(fn)} is not a function", line, col,
-                        kind="not-a-function")
-
-    def apply(self, fn, args: list):
-        """Apply a lazy-mode function to lazy-call's values and thunks."""
-        if isinstance(fn, BuiltinFunction):
-            forced = [force(self, a) for a in args]
-            self._check_builtin_arity(fn, len(forced), None, None)
-            return fn.fn(self, forced)
-        frame = self.bind_lambda_list(fn.lambda_list, args, lazy=True,
-                                      parent=fn.closure, fn=fn)
+        frame = self.bind_lambda_list(fn.lambda_list, args, lazy, fn.closure, fn)
         return self.eval_body(fn.body, frame)
 
-    def _check_builtin_arity(self, fn: BuiltinFunction, n: int, line, col):
+    def _check_builtin_arity(self, fn: BuiltinFunction, n: int):
         if n < fn.min_args or (fn.max_args is not None and n > fn.max_args):
             if fn.max_args is None:
                 shape = f"at least {fn.min_args}"
@@ -231,7 +225,7 @@ class Interpreter:
                 shape = f"{fn.min_args} to {fn.max_args}"
             raise EvalError(
                 f"{fn.name.name} takes {shape} argument(s), got {n}",
-                line, col, kind="arity-mismatch")
+                None, None, kind="arity-mismatch")
 
     # ------------------------------------------------------------ binding
 
@@ -247,44 +241,45 @@ class Interpreter:
         are plain t/nil; the rest slot is a plain list of raw arguments.
         """
         frame = Environment(parent)
-        label = fn.name.name if fn is not None and fn.name is not None else "anonymous function"
+        slots = frame.vars
         n = len(args)
         nreq = len(ll.required)
         if n < nreq:
             raise EvalError(
-                f"{label} expected at least {nreq} argument(s), got {n}",
+                f"{_label(fn)} expected at least {nreq} argument(s), got {n}",
                 None, None, kind="arity-mismatch")
         i = 0
         for name in ll.required:
-            self._bind_param(frame, name, args[i], lazy)
+            slots[name] = LazyBinding(args[i]) if lazy else args[i]
             i += 1
         for opt in ll.optional:
             if i < n:
-                self._bind_param(frame, opt.name, args[i], lazy)
+                slots[opt.name] = LazyBinding(args[i]) if lazy else args[i]
                 i += 1
                 if opt.supplied is not None:
-                    frame.define(opt.supplied, T)
+                    slots[opt.supplied] = T
             else:
                 self._bind_default(frame, opt.name, opt.default, lazy)
                 if opt.supplied is not None:
-                    frame.define(opt.supplied, NIL)
+                    slots[opt.supplied] = NIL
         tail = args[i:]
         if ll.rest is not None:
-            frame.define(ll.rest, cons_list(tail))
+            slots[ll.rest] = cons_list(tail)
         if ll.keys:
-            pairs = self._keyword_pairs(tail, ll, label)
+            pairs = self._keyword_pairs(tail, ll, _label(fn))
             for key in ll.keys:
                 if key.keyword in pairs:
-                    self._bind_param(frame, key.name, pairs[key.keyword], lazy)
+                    value = pairs[key.keyword]
+                    slots[key.name] = LazyBinding(value) if lazy else value
                     if key.supplied is not None:
-                        frame.define(key.supplied, T)
+                        slots[key.supplied] = T
                 else:
                     self._bind_default(frame, key.name, key.default, lazy)
                     if key.supplied is not None:
-                        frame.define(key.supplied, NIL)
+                        slots[key.supplied] = NIL
         elif tail and ll.rest is None:
             raise EvalError(
-                f"{label} expected at most {len(ll.required) + len(ll.optional)} "
+                f"{_label(fn)} expected at most {len(ll.required) + len(ll.optional)} "
                 f"argument(s), got {n}",
                 None, None, kind="arity-mismatch")
         return frame
@@ -309,24 +304,23 @@ class Interpreter:
                 pairs[marker] = value
         return pairs
 
-    def _bind_param(self, frame: Environment, name: Symbol, value, lazy: bool):
-        if lazy:
-            frame.define_lazy(name, value)
-        else:
-            frame.define(name, value)
-
     def _bind_default(self, frame: Environment, name: Symbol,
                       default: Form | None, lazy: bool):
         if default is None:
-            if lazy:
-                frame.define_lazy(name, NIL)
-            else:
-                frame.define(name, NIL)
+            value = NIL
         elif lazy:
             self.thunk_allocations += 1
-            frame.define_lazy(name, Thunk(default, frame, self.memoize))
+            value = Thunk(default, frame, self.memoize)
         else:
-            frame.define(name, self.evaluate(default, frame))
+            value = self.evaluate(default, frame)
+        frame.vars[name] = LazyBinding(value) if lazy else value
+
+
+def _label(fn) -> str:
+    """How arity and keyword errors name the function being bound."""
+    if fn is not None and fn.name is not None:
+        return fn.name.name
+    return "anonymous function"
 
 
 # ------------------------------------------------------------ special forms
@@ -383,14 +377,6 @@ def _sf_let(interp, form, env):
     return interp.eval_body(items[2:], frame)
 
 
-def _sf_lambda(interp, form, env):
-    items = form.datum
-    if len(items) < 2:
-        raise _malformed("lambda needs a lambda list", form)
-    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env,
-                          lazy=False)
-
-
 def _sf_function(interp, form, env):
     items = form.datum
     if len(items) != 2:
@@ -403,24 +389,30 @@ def _sf_function(interp, form, env):
             return value
         raise EvalError(f"{d.name} does not name a function",
                         target.line, target.col, kind="not-a-function")
-    if isinstance(d, list) and d and d[0].datum is _LAMBDA:
-        return _sf_lambda(interp, target, env)
+    if isinstance(d, list) and d and d[0].datum is LAMBDA:
+        return eval_lambda(interp, target, env)
     raise _malformed("function expects a symbol or a lambda form", target)
 
 
 def _sf_defun(interp, form, env):
+    """(defun name (params...) body...) or (deflazy ...) -> name
+
+    Both install one strict function object as the name's global binding.
+    deflazy marks it dual, so lazy-call can also enter it lazily; a later
+    defun of the name replaces the object, and with it the lazy face.
+    """
     items = form.datum
+    head = items[0].datum
     if len(items) < 3:
-        raise _malformed("defun needs a name, a lambda list, and a body", form)
+        raise _malformed(f"{head.name.lower()} needs a name, a lambda list, "
+                         "and a body", form)
     name_form = items[1]
     if not isinstance(name_form.datum, Symbol):
-        raise _malformed("defun name must be a symbol", name_form)
+        raise _malformed(f"{head.name.lower()} name must be a symbol", name_form)
     name = name_form.datum
     fn = FunctionObject(name, parse_lambda_list(items[2]), items[3:], env,
-                        lazy=False)
+                        lazy=False, dual=head is _DEFLAZY)
     interp.global_env.define(name, fn)
-    # a plain strict redefinition razes any lazy twin the name had
-    interp.lazy_registry.pop(name, None)
     return name
 
 
@@ -466,20 +458,20 @@ def _sf_loop(interp, form, env):
                 form.line, form.col)
 
 
-_LAMBDA = Symbol.intern("LAMBDA")
+_DEFLAZY = Symbol.intern("DEFLAZY")
 
 _SPECIAL_FORMS = {
     Symbol.intern("QUOTE"): _sf_quote,
     Symbol.intern("IF"): _sf_if,
     Symbol.intern("PROGN"): _sf_progn,
     Symbol.intern("LET"): _sf_let,
-    Symbol.intern("LAMBDA"): _sf_lambda,
+    LAMBDA: eval_lambda,
     Symbol.intern("FUNCTION"): _sf_function,
     Symbol.intern("DEFUN"): _sf_defun,
     Symbol.intern("DEFPARAMETER"): _sf_defparameter,
     Symbol.intern("ECASE"): _sf_ecase,
     Symbol.intern("LOOP"): _sf_loop,
-    Symbol.intern("DEFLAZY"): eval_deflazy,
+    _DEFLAZY: _sf_defun,
     Symbol.intern("LAZY-CALL"): eval_lazy_call,
     Symbol.intern("LAZY"): eval_lazify,
     Symbol.intern("DELAY"): eval_delay,

@@ -40,12 +40,6 @@ class LambdaList:
         self.rest: Optional[Symbol] = rest
         self.keys: list[KeyParam] = keys
 
-    def min_args(self) -> int:
-        return len(self.required)
-
-    def max_positional(self) -> int:
-        return len(self.required) + len(self.optional)
-
 
 def _bad(msg: str, form: Optional[Form]) -> EvalError:
     line = form.line if form is not None else None

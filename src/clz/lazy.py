@@ -1,10 +1,10 @@
-"""Lazy calling convention: thunks, dual definitions, lazy-call, lazy, delay.
+"""Lazy calling convention: thunks, lazy-call, lazy, delay.
 
-A function defined with ``deflazy`` gets two faces: a strict one installed
-as an ordinary global binding, and a lazy twin kept in the interpreter's
-registry under the same name. ``lazy-call`` looks the twin up, passes
-constants through, and wraps every other argument form as a thunk; the
-body then forces a parameter only when it actually reads it.
+A function defined with ``deflazy`` is one function object with two
+faces: ordinary calls run it strictly, and ``lazy-call`` enters the same
+object lazily. ``lazy-call`` passes constants through and wraps every
+other argument form as a thunk; the body then forces a parameter only
+when it actually reads it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .reader import Form
 from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, print_value
 
 _QUOTE = Symbol.intern("QUOTE")
-_LAMBDA = Symbol.intern("LAMBDA")
+LAMBDA = Symbol.intern("LAMBDA")
 _FUNCTION = Symbol.intern("FUNCTION")
 
 
@@ -64,55 +64,42 @@ def constant_p(form: Form) -> bool:
     return not isinstance(datum, Symbol)
 
 
-def eval_deflazy(interp, form: Form, env):
-    """(deflazy name (params...) body...) -> name
+def eval_lambda(interp, form: Form, env, lazy: bool = False) -> FunctionObject:
+    """(lambda (params...) body...) -> a closure over the current environment.
 
-    Installs the strict half as a global binding and the lazy half in the
-    registry, atomically under the same name.
+    As the lambda special form it builds a strict closure; ``(lazy
+    (lambda ...))`` builds a lazy one.
     """
     items = form.datum
-    if len(items) < 3:
-        raise EvalError("deflazy needs a name, a lambda list, and a body",
+    if len(items) < 2:
+        raise EvalError("lambda needs a lambda list",
                         form.line, form.col, kind="malformed-special-form")
-    name_form = items[1]
-    if not isinstance(name_form.datum, Symbol):
-        raise EvalError(f"deflazy name must be a symbol, got {name_form!r}",
-                        name_form.line, name_form.col,
-                        kind="malformed-special-form")
-    name = name_form.datum
-    ll = parse_lambda_list(items[2])
-    body = items[3:]
-    strict_fn = FunctionObject(name, ll, body, env, lazy=False)
-    lazy_fn = FunctionObject(name, ll, body, env, lazy=True)
-    interp.global_env.define(name, strict_fn)
-    interp.lazy_registry[name] = lazy_fn
-    return name
+    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env,
+                          lazy=lazy)
 
 
-def resolve_lazy_operator(interp, op, form: Form) -> "FunctionObject | BuiltinFunction":
-    """Find the lazy function a lazy-call operator value designates.
+def lazy_callee(interp, op, form: Form) -> "FunctionObject | BuiltinFunction":
+    """Find the function lazy-call enters for the operator value ``op``.
 
-    Order: an already-lazy function wins; otherwise a symbol, or a strict
-    function's name, is looked up in the registry; otherwise there is no
-    lazy version to call.
+    A symbol means its current global binding, looked up as funcall does.
+    A lazy function, or a dual one made by deflazy, is entered lazily as
+    it is; any other function has no lazy version.
     """
-    if isinstance(op, (FunctionObject, BuiltinFunction)) and op.lazy:
-        return op
     if isinstance(op, Symbol):
-        entry = interp.lazy_registry.get(op)
-        if entry is not None:
-            return entry
-        raise EvalError(f"{op.name} has no lazy version (define it with deflazy)",
-                        form.line, form.col, kind="no-lazy-version")
+        try:
+            op = interp.lookup(op, interp.global_env)
+        except EvalError:
+            raise EvalError(f"{op.name} has no lazy version (define it with deflazy)",
+                            form.line, form.col, kind="no-lazy-version") from None
     if isinstance(op, FunctionObject):
-        if op.name is not None:
-            entry = interp.lazy_registry.get(op.name)
-            if entry is not None:
-                return entry
+        if op.lazy or op.dual:
+            return op
         label = op.name.name if op.name is not None else "anonymous function"
         raise EvalError(f"{label} is strict and has no lazy version",
                         form.line, form.col, kind="no-lazy-version")
     if isinstance(op, BuiltinFunction):
+        if op.lazy:
+            return op
         raise EvalError(f"builtin {op.name} has no lazy version",
                         form.line, form.col, kind="no-lazy-version")
     raise EvalError(f"{print_value(op)} is not a function",
@@ -120,7 +107,7 @@ def resolve_lazy_operator(interp, op, form: Form) -> "FunctionObject | BuiltinFu
 
 
 def eval_lazy_call(interp, form: Form, env):
-    """(lazy-call OP ARGS...) -> apply OP's lazy version to thunked args.
+    """(lazy-call OP ARGS...) -> apply OP lazily to thunked args.
 
     The operator expression is evaluated strictly. Constant argument
     forms (and keyword markers, which are constants) pass through as
@@ -131,14 +118,14 @@ def eval_lazy_call(interp, form: Form, env):
         raise EvalError("lazy-call needs an operator",
                         form.line, form.col, kind="malformed-special-form")
     op = interp.evaluate(items[1], env)
-    fn = resolve_lazy_operator(interp, op, items[1])
+    fn = lazy_callee(interp, op, items[1])
     args = []
     for arg_form in items[2:]:
         if constant_p(arg_form):
             args.append(interp.evaluate(arg_form, env))
         else:
             args.append(delay(interp, arg_form, env))
-    return interp.apply(fn, args)
+    return interp.apply(fn, args, lazy=True)
 
 
 def eval_lazify(interp, form: Form, env):
@@ -146,9 +133,9 @@ def eval_lazify(interp, form: Form, env):
 
     A literal (lambda ...) or #'(lambda ...) becomes a fresh lazy closure
     over the current environment. Any other EXPR is evaluated: a lazy
-    function passes through, a named strict function resolves to its
-    registry twin (or a lazy re-wrap of the same lambda list and body),
-    and a builtin gets a force-all-arguments wrapper.
+    function passes through, a strict one (deflazy's included) is
+    re-wrapped as lazy over the same lambda list, body and closure, and a
+    builtin gets a force-all-arguments wrapper.
     """
     items = form.datum
     if len(items) != 2:
@@ -157,19 +144,15 @@ def eval_lazify(interp, form: Form, env):
     target = items[1]
     lam = _extract_lambda_form(target)
     if lam is not None:
-        return _lazy_closure_from_lambda(interp, lam, env)
+        return eval_lambda(interp, lam, env, lazy=True)
     value = interp.evaluate(target, env)
+    if isinstance(value, (FunctionObject, BuiltinFunction)) and value.lazy:
+        return value
     if isinstance(value, FunctionObject):
-        if value.lazy:
-            return value
-        if value.name is not None:
-            entry = interp.lazy_registry.get(value.name)
-            if entry is not None:
-                return entry
         return FunctionObject(value.name, value.lambda_list, value.body,
                               value.closure, lazy=True)
     if isinstance(value, BuiltinFunction):
-        return value if value.lazy else value.lazified()
+        return value.lazified()
     raise EvalError(f"{print_value(value)} is not a function",
                     target.line, target.col, kind="not-a-function")
 
@@ -180,22 +163,13 @@ def _extract_lambda_form(form: Form):
     if not isinstance(d, list) or not d:
         return None
     head = d[0].datum
-    if head is _LAMBDA:
+    if head is LAMBDA:
         return form
     if head is _FUNCTION and len(d) == 2:
         inner = d[1].datum
-        if isinstance(inner, list) and inner and inner[0].datum is _LAMBDA:
+        if isinstance(inner, list) and inner and inner[0].datum is LAMBDA:
             return d[1]
     return None
-
-
-def _lazy_closure_from_lambda(interp, lam: Form, env) -> FunctionObject:
-    items = lam.datum
-    if len(items) < 2:
-        raise EvalError("lambda needs a lambda list",
-                        lam.line, lam.col, kind="malformed-special-form")
-    ll = parse_lambda_list(items[1])
-    return FunctionObject(None, ll, items[2:], env, lazy=True)
 
 
 def eval_delay(interp, form: Form, env) -> Thunk:

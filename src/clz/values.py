@@ -117,17 +117,21 @@ class FunctionObject:
     """Interpreted function: lambda list + body + closure, strict or lazy.
 
     The mode is fixed at construction. A lazy-mode function can only be
-    entered through the lazy call path; the strict path rejects it.
+    entered through the lazy call path; the strict path rejects it. A
+    ``dual`` function (made by deflazy) is strict to ordinary calls and
+    is also entered lazily, as it is, by lazy-call.
     """
 
-    __slots__ = ("name", "lambda_list", "body", "closure", "lazy")
+    __slots__ = ("name", "lambda_list", "body", "closure", "lazy", "dual")
 
-    def __init__(self, name, lambda_list, body, closure, lazy: bool):
+    def __init__(self, name, lambda_list, body, closure, lazy: bool,
+                 dual: bool = False):
         self.name = name
         self.lambda_list = lambda_list
         self.body = body
         self.closure = closure
         self.lazy = lazy
+        self.dual = dual
 
     def __repr__(self):
         return print_value(self)
@@ -158,17 +162,6 @@ def cons_list(items, tail=NIL):
     for item in reversed(list(items)):
         result = Cons(item, result)
     return result
-
-
-def list_values(value):
-    """Python list of the elements of a proper list. Raises ValueError otherwise."""
-    items = []
-    while isinstance(value, Cons):
-        items.append(value.car)
-        value = value.cdr
-    if value is not NIL:
-        raise ValueError("improper list")
-    return items
 
 
 def _escape_string(s: str) -> str:

@@ -52,6 +52,17 @@ class TestRepl:
         assert "unclosed" in proc.stdout
         assert "NIL" in proc.stdout
 
+    def test_form_continues_across_lines(self):
+        proc = run_clz(stdin="(defun sq (x)\n  (* x x))\n(sq 7)\n")
+        assert proc.returncode == 0
+        assert "read-error" not in proc.stdout
+        replies = [
+            chunk.strip()
+            for chunk in proc.stdout.split("clz> ")
+            if chunk.strip()
+        ]
+        assert replies == ["...  SQ", "49"]
+
     def test_eval_error_reports_kind_and_position(self):
         proc = run_clz(stdin="(boom)\n(+ 1 1)\n")
         assert proc.returncode == 0

@@ -92,7 +92,7 @@ class TestSpecialForms:
 
     def test_function_on_symbol_and_lambda(self, interp):
         fn = interp.run("#'car")
-        assert interp.apply_strict(fn, [interp.run("'(9)")]) == 9
+        assert interp.apply(fn, [interp.run("'(9)")]) == 9
         assert interp.run("(funcall (function (lambda (x) (* x x))) 5)") == 25
 
     def test_function_on_non_function(self, interp):

@@ -97,6 +97,34 @@ class TestDeflazy:
         assert interp.run("(f 0)") == 2
         assert interp.run("(lazy-call #'f (diverge))") == 2
 
+    def test_deflazy_installs_one_dual_function(self, interp):
+        interp.run("(deflazy k (x y) x)")
+        fn = interp.run("#'k")
+        assert isinstance(fn, FunctionObject) and fn.dual and not fn.lazy
+        assert interp.run("(lazy (lambda (x) x))").dual is False
+
+    def test_lazy_face_belongs_to_the_function_value(self, interp):
+        # a captured function value keeps its own body, strict and lazy,
+        # after the name is redefined
+        interp.run("(deflazy f (x) 1)")
+        interp.run("(defparameter g #'f)")
+        interp.run("(deflazy f (x) 2)")
+        assert interp.run("(funcall g 0)") == 1
+        assert interp.run("(lazy-call g 0)") == 1
+        assert interp.run("(lazy-call 'f 0)") == 2
+
+    def test_symbol_operator_means_its_current_binding(self, interp):
+        interp.run("(deflazy f (x) 1)")
+        interp.run("(defparameter f 5)")
+        with pytest.raises(EvalError) as exc:
+            interp.run("(lazy-call 'f 0)")
+        assert exc.value.kind == "not-a-function"
+
+    def test_unbound_symbol_operator_has_no_lazy_version(self, interp):
+        with pytest.raises(EvalError) as exc:
+            interp.run("(lazy-call 'never-defined 1)")
+        assert exc.value.kind == "no-lazy-version"
+
     def test_defun_razes_the_lazy_twin(self, interp):
         interp.run("(deflazy f (x) x)")
         interp.run("(defun f (x) x)")
@@ -243,10 +271,14 @@ class TestLazyOperator:
         interp.run("(defparameter lf (lazy #'(lambda (x y) y)))")
         assert interp.run("(lazy-call lf (diverge) 8)") == 8
 
-    def test_lazy_on_named_function_uses_registry_twin(self, interp):
+    def test_lazy_on_named_function_rewraps_as_lazy(self, interp):
         interp.run("(deflazy si (c e a) (if c e a))")
-        assert interp.run("(lazy #'si)") is interp.lazy_registry[Symbol.intern("SI")]
+        fn = interp.run("(lazy #'si)")
+        assert isinstance(fn, FunctionObject) and fn.lazy
         assert interp.run("(lazy-call (lazy #'si) t 42 (diverge))") == 42
+        with pytest.raises(EvalError) as exc:
+            interp.run("(funcall (lazy #'si) t 42 1)")
+        assert exc.value.kind == "lazy-through-strict"
 
     def test_lazy_on_plain_strict_function_rewraps(self, interp):
         interp.run("(defun second-of (x y) y)")
@@ -293,7 +325,12 @@ class TestLazyOperator:
 
     def test_lazy_on_bare_name(self, interp):
         interp.run("(deflazy si (c e a) (if c e a))")
-        assert interp.run("(lazy si)") is interp.lazy_registry[Symbol.intern("SI")]
+        interp.run("(defparameter lsi (lazy si))")
+        assert interp.run("lsi").lazy
+        assert interp.run("(lazy-call lsi t 42 (diverge))") == 42
+        with pytest.raises(EvalError) as exc:
+            interp.run("(lsi t 42 1)")
+        assert exc.value.kind == "lazy-through-strict"
 
     def test_lazy_rejects_a_quoted_symbol(self, interp):
         # (lazy 'si) evaluates to the symbol, and a symbol is not a function

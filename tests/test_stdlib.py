@@ -220,10 +220,10 @@ class TestPreludeLoading:
         assert to_py(bare.run("(stream-take (integers-from 2) 3)")) == [2, 3, 4]
 
     def test_prelude_names_are_ordinary_definitions(self, interp):
-        # the stream library is surface-level code: its names are visible
-        # as normal bindings and lazy-registry entries
-        from clz import Symbol
-        assert Symbol.intern("CONC") in interp.lazy_registry
-        assert Symbol.intern("HEAD") in interp.lazy_registry
-        assert Symbol.intern("TAIL") in interp.lazy_registry
-        assert Symbol.intern("INTEGERS-FROM") not in interp.lazy_registry
+        # the stream library is surface-level code: its names are normal
+        # bindings, and the deflazy ones are lazily callable by symbol
+        assert interp.run("(lazy-call 'head (lazy-call 'conc 7 (diverge)))") == 7
+        assert interp.run("(lazy-call 'tail (lazy-call 'conc (diverge) 8))") == 8
+        with pytest.raises(EvalError) as exc:
+            interp.run("(lazy-call 'integers-from 1)")
+        assert exc.value.kind == "no-lazy-version"
