@@ -42,7 +42,8 @@ class EvalError(LispError):
     Kinds in use: unbound-symbol, not-a-function, arity-mismatch,
     unknown-keyword-argument, odd-keyword-arguments, type-error, overflow,
     ecase-no-match, lazy-through-strict, no-lazy-version,
-    malformed-special-form, malformed-lambda-list, recursion-limit.
+    malformed-special-form, malformed-lambda-list, recursion-limit,
+    reentrant-force.
     """
 
     def __init__(self, message: str, line: int | None = None,

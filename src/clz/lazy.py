@@ -29,22 +29,37 @@ def force(interp, value):
     """Resolve thunk chains to a plain value; identity on non-thunks.
 
     Every memoizing thunk along the chain is backfilled with the final
-    value, so a memo cell never holds another thunk.
+    value, so a memo cell never holds another thunk. While its value is
+    being computed a memoizing thunk is marked, and forcing it again from
+    inside that computation is a reentrant-force error, because its memo
+    cell would otherwise be written more than once. If the computation
+    fails, the thunks on the chain go back to unevaluated.
     """
     pending = None
-    while isinstance(value, Thunk):
-        t = value
-        if t.done:
-            value = t.value
-            break
-        if t.memoizing:
-            if pending is None:
-                pending = []
-            pending.append(t)
-        value = interp.evaluate(t.expr, t.env)
+    try:
+        while isinstance(value, Thunk):
+            t = value
+            if t.done:
+                value = t.value
+                break
+            if t.memoizing:
+                if t.forcing:
+                    raise EvalError("thunk forced again while its value is being computed",
+                                    None, None, kind="reentrant-force")
+                t.forcing = True
+                if pending is None:
+                    pending = []
+                pending.append(t)
+            value = interp.evaluate(t.expr, t.env)
+    except BaseException:
+        if pending is not None:
+            for t in pending:
+                t.forcing = False
+        raise
     if pending is not None:
         for t in pending:
             t.done = True
+            t.forcing = False
             t.value = value
             t.expr = None
             t.env = None

@@ -1,44 +1,51 @@
-"""Tokenizer and s-expression parser: source text in, positioned forms out.
+"""The reader: source text in, positioned forms out, in one pass.
 
 Surface syntax: symbols (case-insensitive, canonicalized upper), keywords
-(:name), signed 64-bit integer literals, double-quoted strings with \\" and
-\\\\ escapes, t / nil, ' and #' sugar, proper lists, and ; comments.
+(:name), signed 64-bit integer literals ([+-]?[0-9]+), double-quoted
+strings with \\" and \\\\ escapes, t / nil, ' and #' sugar, proper lists,
+and ; comments.
+
+One compiled regex matches the lexeme at the current position, and one
+loop builds forms from it, keeping open lists and quote marks on an
+explicit stack, so nesting depth costs no host recursion.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import re
 
 from .errors import ReadError
 from .values import INT_MAX, INT_MIN, NIL, T, Cons, Keyword, Symbol
 
-OPEN = "open-paren"
-CLOSE = "close-paren"
-QUOTE = "quote-mark"
-SHARP_QUOTE = "sharp-quote"
-SYMBOL = "symbol"
-KEYWORD = "keyword"
-INTEGER = "integer"
-STRING = "string"
-EOF = "eof"
+_STRING_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # the only escapes are \" and \\
 
-# Characters that end an atom. '#' is reserved for #' and may not appear
-# inside atoms.
-_TERMINATORS = set("()'\";#") | set(" \t\r\n")
+# An atom runs up to whitespace, one of ( ) ' " ; # or the end. One that
+# runs into a control character does not match at all, so that the
+# character is diagnosed where it stands.
+_ATOM_END = r"""(?![^ \t\r\n()'";#])"""
 
-_QUOTE_SYM = Symbol.intern("QUOTE")
-_FUNCTION_SYM = Symbol.intern("FUNCTION")
+# One group per lexeme class; m.lastindex says which one matched.
+_LEXEME = re.compile(
+    r"([ \t\r]+|;[^\n]*)"                   # 1 blanks or a comment
+    r"|(\n[ \t\r]*)"                        # 2 a newline and the indentation after it
+    r"|(\()"                                # 3
+    r"|(\))"                                # 4
+    r"|('|#')"                              # 5 quote marks
+    r'|"(' + _STRING_BODY + ')"'            # 6 a string's body
+    r"|([+-]?[0-9]+)" + _ATOM_END +         # 7 an integer literal
+    r"""|([^\x00-\x20()'";#]+)""" + _ATOM_END)  # 8 any other atom
+_BLANK, _NEWLINE, _OPEN, _CLOSE, _QUOTE, _STRING, _INTEGER, _ATOM = range(1, 9)
 
+# The longest prefix of a string literal that is still well formed.
+_STRING_PREFIX = re.compile('"' + _STRING_BODY)
+_ESCAPE = re.compile(r'\\(["\\])')
+_CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+_QUOTE_MARKS = {"'": Symbol.intern("QUOTE"), "#'": Symbol.intern("FUNCTION")}
 
 
 class Form:
-    """A parsed expression with the source position of its first token.
+    """A parsed expression with the source position of its first character.
 
     ``datum`` is an atom (int, str, Symbol, Keyword, T, NIL) or a Python
     list of sub-Forms. Surface lists are always proper; ``()`` reads as NIL.
@@ -57,199 +64,112 @@ class Form:
         return repr(self.datum)
 
 
-def _is_integer_text(text: str) -> bool:
-    body = text[1:] if text[0] in "+-" else text
-    return len(body) > 0 and body.isdigit()
+def read_source(text: str) -> list[Form]:
+    """Read every top-level form in ``text``.
 
-
-def tokenize(text: str) -> list[Token]:
-    """Lex source text into tokens, ending with one eof token.
-
-    Lexeme texts are verbatim source slices, so joining them with
-    whitespace reproduces an equivalent program.
+    Raises ReadError at the first error in source order. Its
+    ``incomplete`` flag is set when the text ended inside a form, so
+    that more text could still complete it.
     """
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def advance(ch: str):
-        nonlocal line, col
-        if ch == "\n":
+    forms: list[Form] = []
+    items = forms   # the list the next finished form joins
+    mark = None     # ' or #' while a quote mark awaits its form
+    stack = []      # (items, mark, line, col) saved by each open ( or mark
+    line, line_start, pos, n = 1, 0, 0, len(text)
+    match = _LEXEME.match
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            raise _diagnose(text, pos)
+        kind = m.lastindex
+        if kind == _BLANK:
+            pos = m.end()
+            continue
+        if kind == _NEWLINE:
             line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
+            line_start = pos + 1
+            pos = m.end()
             continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                advance(text[i])
-                i += 1
+        col = pos - line_start + 1
+        if kind == _ATOM:
+            name = m.group(_ATOM).upper()
+            if name[0] == ":":
+                if len(name) == 1:
+                    raise ReadError("lone ':' is not a keyword", line, col)
+                datum = Keyword.intern(name[1:])
+            elif name == "T":
+                datum = T
+            elif name == "NIL":
+                datum = NIL
+            else:
+                datum = Symbol.intern(name)
+            form = Form(datum, line, col)
+        elif kind == _OPEN:
+            stack.append((items, mark, line, col))
+            items, mark = [], None
+            pos += 1
             continue
-        start_line, start_col = line, col
-        if ch == "(":
-            tokens.append(Token(OPEN, "(", start_line, start_col))
-            advance(ch)
-            i += 1
-        elif ch == ")":
-            tokens.append(Token(CLOSE, ")", start_line, start_col))
-            advance(ch)
-            i += 1
-        elif ch == "'":
-            tokens.append(Token(QUOTE, "'", start_line, start_col))
-            advance(ch)
-            i += 1
-        elif ch == "#":
-            if i + 1 < n and text[i + 1] == "'":
-                tokens.append(Token(SHARP_QUOTE, "#'", start_line, start_col))
-                advance("#")
-                advance("'")
-                i += 2
-            else:
-                raise ReadError("illegal character '#' (only #' is supported)",
-                                start_line, start_col)
-        elif ch == '"':
-            advance(ch)
-            i += 1
-            raw = ['"']
-            while True:
-                if i >= n:
-                    raise ReadError("unterminated string literal",
-                                    start_line, start_col, incomplete=True)
-                ch = text[i]
-                if ch == '"':
-                    raw.append('"')
-                    advance(ch)
-                    i += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ReadError("unterminated string literal",
-                                        start_line, start_col, incomplete=True)
-                    esc = text[i + 1]
-                    if esc not in ('"', "\\"):
-                        raise ReadError(f"unknown string escape '\\{esc}'", line, col)
-                    raw.append(ch)
-                    raw.append(esc)
-                    advance(ch)
-                    advance(esc)
-                    i += 2
-                    continue
-                raw.append(ch)
-                advance(ch)
-                i += 1
-            tokens.append(Token(STRING, "".join(raw), start_line, start_col))
+        elif kind == _CLOSE:
+            if mark is not None:
+                raise ReadError(f"{mark} with no following form", line, col)
+            if not stack:
+                raise ReadError("unbalanced close parenthesis", line, col)
+            datum = items or NIL
+            items, mark, line0, col0 = stack.pop()
+            form = Form(datum, line0, col0)
+        elif kind == _QUOTE:
+            stack.append((items, mark, line, col))
+            items, mark = None, m.group(_QUOTE)
+            pos = m.end()
+            continue
+        elif kind == _INTEGER:
+            lexeme = m.group(_INTEGER)
+            value = int(lexeme)
+            if not INT_MIN <= value <= INT_MAX:
+                raise ReadError(f"integer literal {lexeme} outside the 64-bit signed range",
+                                line, col)
+            form = Form(value, line, col)
         else:
-            if ord(ch) < 32:
-                raise ReadError(f"illegal character (codepoint {ord(ch)})",
-                                start_line, start_col)
-            chars = []
-            while i < n and text[i] not in _TERMINATORS:
-                if ord(text[i]) < 32:
-                    raise ReadError(f"illegal character (codepoint {ord(text[i])})",
-                                    line, col)
-                chars.append(text[i])
-                advance(text[i])
-                i += 1
-            lexeme = "".join(chars)
-            if _is_integer_text(lexeme):
-                if not INT_MIN <= int(lexeme) <= INT_MAX:
-                    raise ReadError(f"integer literal {lexeme} outside the 64-bit signed range",
-                                    start_line, start_col)
-                tokens.append(Token(INTEGER, lexeme, start_line, start_col))
-            elif lexeme.startswith(":"):
-                if len(lexeme) == 1:
-                    raise ReadError("lone ':' is not a keyword", start_line, start_col)
-                tokens.append(Token(KEYWORD, lexeme, start_line, start_col))
-            else:
-                tokens.append(Token(SYMBOL, lexeme, start_line, start_col))
-    tokens.append(Token(EOF, "", line, col))
-    return tokens
-
-
-def _decode_string(raw: str) -> str:
-    # raw includes the surrounding quotes; escapes were validated by tokenize.
-    body = raw[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\":
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
-
-
-def _atom_datum(tok: Token):
-    if tok.kind == INTEGER:
-        return int(tok.text)
-    if tok.kind == STRING:
-        return _decode_string(tok.text)
-    if tok.kind == KEYWORD:
-        return Keyword.intern(tok.text[1:])
-    name = tok.text.upper()
-    if name == "T":
-        return T
-    if name == "NIL":
-        return NIL
-    return Symbol.intern(name)
-
-
-def parse(tokens: list[Token]) -> list[Form]:
-    """Parse a token stream (ending in eof) into top-level forms."""
-    forms = []
-    i = 0
-    while tokens[i].kind != EOF:
-        form, i = _parse_one(tokens, i)
-        forms.append(form)
+            body = m.group(_STRING)
+            form = Form(_ESCAPE.sub(r"\1", body), line, col)
+            if "\n" in body:
+                line += body.count("\n")
+                line_start = text.rindex("\n", pos, m.end()) + 1
+        pos = m.end()
+        # A finished form completes every quote mark waiting for it.
+        while mark is not None:
+            head = _QUOTE_MARKS[mark]
+            items, mark, line0, col0 = stack.pop()
+            form = Form([Form(head, line0, col0), form], line0, col0)
+        items.append(form)
+    if stack:
+        _, _, line0, col0 = stack[-1]
+        message = "unclosed parenthesis" if mark is None else f"{mark} with no following form"
+        raise ReadError(message, line0, col0, incomplete=True)
     return forms
 
 
-def _parse_one(tokens: list[Token], i: int) -> tuple[Form, int]:
-    tok = tokens[i]
-    if tok.kind in (INTEGER, STRING, KEYWORD, SYMBOL):
-        return Form(_atom_datum(tok), tok.line, tok.col), i + 1
-    if tok.kind == OPEN:
-        items: list[Form] = []
-        j = i + 1
-        while True:
-            t = tokens[j]
-            if t.kind == CLOSE:
-                j += 1
-                break
-            if t.kind == EOF:
-                raise ReadError("unclosed parenthesis", tok.line, tok.col,
-                                incomplete=True)
-            item, j = _parse_one(tokens, j)
-            items.append(item)
-        if not items:
-            return Form(NIL, tok.line, tok.col), j
-        return Form(items, tok.line, tok.col), j
-    if tok.kind in (QUOTE, SHARP_QUOTE):
-        wrapper = _QUOTE_SYM if tok.kind == QUOTE else _FUNCTION_SYM
-        t = tokens[i + 1]
-        if t.kind == EOF:
-            raise ReadError(f"{tok.text} with no following form", tok.line, tok.col,
-                            incomplete=True)
-        if t.kind == CLOSE:
-            raise ReadError(f"{tok.text} with no following form", t.line, t.col)
-        inner, j = _parse_one(tokens, i + 1)
-        head = Form(wrapper, tok.line, tok.col)
-        return Form([head, inner], tok.line, tok.col), j
-    if tok.kind == CLOSE:
-        raise ReadError("unbalanced close parenthesis", tok.line, tok.col)
-    raise ReadError(f"unexpected token {tok.kind}", tok.line, tok.col)
+def _diagnose(text: str, pos: int) -> ReadError:
+    """The error at ``pos``, where no lexeme matches.
 
-
-def read_source(text: str) -> list[Form]:
-    return parse(tokenize(text))
+    That is a '#' without a quote after it, a string that is unterminated
+    or has an unknown escape, or a control character at or in an atom.
+    """
+    incomplete = False
+    if text[pos] == "#":
+        at, message = pos, "illegal character '#' (only #' is supported)"
+    elif text[pos] == '"':
+        at = _STRING_PREFIX.match(text, pos).end()
+        if at + 1 >= len(text):
+            at, message, incomplete = pos, "unterminated string literal", True
+        else:
+            message = f"unknown string escape '\\{text[at + 1]}'"
+    else:
+        at = _CONTROL.search(text, pos).start()
+        message = f"illegal character (codepoint {ord(text[at])})"
+    line = text.count("\n", 0, at) + 1
+    col = at - text.rfind("\n", 0, at)
+    return ReadError(message, line, col, incomplete=incomplete)
 
 
 def form_to_value(form: Form):

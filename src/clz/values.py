@@ -97,16 +97,18 @@ class Thunk:
     ``memoizing`` is fixed at creation from the interpreter configuration.
     A non-memoizing thunk never touches ``value``; a memoizing one writes it
     at most once, and never stores another thunk there (force resolves
-    chains fully before memoizing).
+    chains fully before memoizing). ``forcing`` is set on a memoizing
+    thunk while force computes its value.
     """
 
-    __slots__ = ("expr", "env", "memoizing", "done", "value")
+    __slots__ = ("expr", "env", "memoizing", "done", "forcing", "value")
 
     def __init__(self, expr, env, memoizing: bool):
         self.expr = expr
         self.env = env
         self.memoizing = memoizing
         self.done = False
+        self.forcing = False
         self.value = None
 
     def __repr__(self):

@@ -63,6 +63,17 @@ class TestRepl:
         ]
         assert replies == ["...  SQ", "49"]
 
+    def test_unbalanced_close_does_not_swallow_the_next_line(self):
+        proc = run_clz(stdin=') "abc\n(+ 1 2)\n')
+        assert proc.returncode == 0
+        assert "...  " not in proc.stdout
+        replies = [
+            chunk.strip()
+            for chunk in proc.stdout.split("clz> ")
+            if chunk.strip()
+        ]
+        assert replies == ["read-error at 1:1: unbalanced close parenthesis", "3"]
+
     def test_eval_error_reports_kind_and_position(self):
         proc = run_clz(stdin="(boom)\n(+ 1 1)\n")
         assert proc.returncode == 0
@@ -111,6 +122,13 @@ class TestRunFile:
         proc = run_clz(path)
         assert proc.returncode == 1
         assert "read-error" in proc.stderr
+
+    def test_deep_nesting_is_a_recursion_limit_error(self, tmp_path):
+        path = script(tmp_path, "(" * 300_000 + ")" * 300_000 + "\n")
+        proc = run_clz(path)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{path}:1:10001: recursion-limit:")
 
     def test_missing_file_exits_two(self, tmp_path):
         proc = run_clz(str(tmp_path / "absent.lisp"))

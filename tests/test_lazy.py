@@ -72,6 +72,31 @@ class TestDelayForce:
         with pytest.raises(DivergenceError):
             interp.run("(force (delay (diverge)))")
 
+    def test_memo_thunk_forcing_itself_is_reentrant_force(self, interp_memo):
+        src = "(defparameter x (delay (if (< (tick!) 3) (+ 100 (force x)) 0)))"
+        interp_memo.run(src)
+        x = interp_memo.global_env.vars[Symbol.intern("X")]
+        for ticks in (1, 2):
+            with pytest.raises(EvalError) as exc:
+                interp_memo.run("(force x)")
+            assert exc.value.kind == "reentrant-force"
+            # positioned at the inner force form
+            assert (exc.value.line, exc.value.col) == (1, src.index("(force x)") + 1)
+            # the failed force left x unevaluated, so the next one re-runs it
+            assert not x.done and not x.forcing
+            assert interp_memo.tick_count == ticks
+
+    def test_memo_thunk_depending_on_itself_is_reentrant_force(self, interp_memo):
+        interp_memo.run("(defparameter y (delay (+ 1 (force y))))")
+        with pytest.raises(EvalError) as exc:
+            interp_memo.run("(force y)")
+        assert exc.value.kind == "reentrant-force"
+
+    def test_by_name_thunk_may_force_itself(self, interp):
+        interp.run("(defparameter x (delay (if (< (tick!) 3) (+ 100 (force x)) 0)))")
+        assert interp.run("(force x)") == 200
+        assert interp.tick_count == 3
+
 
 class TestDeflazy:
     def test_returns_name_and_installs_both_halves(self, interp):

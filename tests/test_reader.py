@@ -1,109 +1,144 @@
-"""Tokenizer, parser, and printer behavior."""
+"""Reader (lexemes, forms, positions, errors) and printer behavior."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clz import NIL, Cons, Interpreter, Keyword, Symbol, T, Thunk, print_value
+from clz import NIL, Cons, EvalError, Interpreter, Keyword, Symbol, T, print_value
 from clz.errors import ReadError
-from clz.reader import Form, form_to_value, parse, read_source, tokenize
+from clz.reader import form_to_value, read_source
 
 
-def kinds(text):
-    return [t.kind for t in tokenize(text)]
-
-
-def texts(text):
-    return [t.text for t in tokenize(text)]
-
-
-class TestTokenize:
-    def test_arithmetic_form(self):
-        assert kinds("(+ 1 2)") == [
-            "open-paren", "symbol", "integer", "integer", "close-paren", "eof",
-        ]
-        assert texts("(+ 1 2)") == ["(", "+", "1", "2", ")", ""]
-
-    def test_sharp_quote(self):
-        assert kinds("#'si") == ["sharp-quote", "symbol", "eof"]
-        assert texts("#'si") == ["#'", "si", ""]
-
-    def test_keyword(self):
-        assert kinds(":y") == ["keyword", "eof"]
-        assert texts(":y") == [":y", ""]
-
-    def test_quote_mark(self):
-        assert kinds("'x") == ["quote-mark", "symbol", "eof"]
-
-    def test_signed_integers(self):
-        assert kinds("-5 +7 12") == ["integer", "integer", "integer", "eof"]
-
-    def test_sign_alone_is_a_symbol(self):
-        assert kinds("+ - *") == ["symbol", "symbol", "symbol", "eof"]
-
-    def test_digits_then_letters_is_a_symbol(self):
-        # the successor function's name starts with a digit
-        assert kinds("1+") == ["symbol", "eof"]
-
-    def test_string_with_escapes(self):
-        toks = tokenize(r'"a\"b\\c"')
-        assert [t.kind for t in toks] == ["string", "eof"]
-        assert toks[0].text == r'"a\"b\\c"'
-
-    def test_comment_to_end_of_line(self):
-        assert kinds("1 ; two three\n4") == ["integer", "integer", "eof"]
-
-    def test_positions_are_one_based_and_monotonic(self):
-        toks = tokenize("(a\n  b)")
-        assert (toks[0].line, toks[0].col) == (1, 1)
-        assert (toks[1].line, toks[1].col) == (1, 2)
-        assert (toks[2].line, toks[2].col) == (2, 3)
-        assert (toks[3].line, toks[3].col) == (2, 4)
-        positions = [(t.line, t.col) for t in toks]
-        assert positions == sorted(positions)
-
-    def test_eof_token_terminates_stream(self):
-        assert tokenize("")[-1].kind == "eof"
-        assert tokenize("x")[-1].kind == "eof"
-
-    def test_unterminated_string_is_incomplete(self):
-        with pytest.raises(ReadError) as exc:
-            tokenize('"abc')
-        assert exc.value.incomplete
-        assert (exc.value.line, exc.value.col) == (1, 1)
-
-    def test_unknown_escape_rejected(self):
-        with pytest.raises(ReadError) as exc:
-            tokenize(r'"a\nb"')
-        assert not exc.value.incomplete
-
-    def test_hash_without_quote_rejected(self):
-        with pytest.raises(ReadError) as exc:
-            tokenize("#(1 2)")
-        assert (exc.value.line, exc.value.col) == (1, 1)
-
-    def test_control_character_rejected(self):
-        with pytest.raises(ReadError):
-            tokenize("a\x01b")
-
-    def test_integer_out_of_64bit_range(self):
-        tokenize(str(2 ** 63 - 1))
-        tokenize(str(-(2 ** 63)))
-        with pytest.raises(ReadError):
-            tokenize(str(2 ** 63))
-        with pytest.raises(ReadError):
-            tokenize(str(-(2 ** 63) - 1))
-
-    def test_lexemes_reassemble_to_equivalent_program(self):
-        src = "(deflazy si (c e a) (if c e a)) #'si ':k \"s\""
-        rejoined = " ".join(t.text for t in tokenize(src))
-        assert [t.kind for t in tokenize(rejoined)][:-1] == kinds(src)[:-1]
+def data(text):
+    """The atoms, or nested lists of atoms, that ``text`` reads as."""
+    def strip(form):
+        if isinstance(form.datum, list):
+            return [strip(f) for f in form.datum]
+        return form.datum
+    return [strip(f) for f in read_source(text)]
 
 
 def one(text):
     forms = read_source(text)
     assert len(forms) == 1
     return forms[0]
+
+
+def read_error(text):
+    with pytest.raises(ReadError) as exc:
+        read_source(text)
+    return exc.value
+
+
+def sym(name):
+    return Symbol.intern(name)
+
+
+class TestTokenize:
+    """Lexical behaviour, checked on the forms the reader builds."""
+
+    def test_arithmetic_form(self):
+        assert data("(+ 1 2)") == [[sym("+"), 1, 2]]
+
+    def test_sharp_quote(self):
+        form = one("#'si")
+        head, target = form.datum
+        assert head.datum is sym("FUNCTION") and target.datum is sym("SI")
+        assert [(f.line, f.col) for f in (form, head, target)] == [(1, 1), (1, 1), (1, 3)]
+
+    def test_keyword(self):
+        assert data(":y :Y") == [Keyword.intern("Y")] * 2
+
+    def test_quote_mark(self):
+        assert data("'x") == [[sym("QUOTE"), sym("X")]]
+        quoted = one("'x").datum[1]
+        assert (quoted.line, quoted.col) == (1, 2)
+
+    def test_signed_integers(self):
+        assert data("-5 +7 12 -0 007") == [-5, 7, 12, 0, 7]
+
+    def test_sign_alone_is_a_symbol(self):
+        assert data("+ - * +-1") == [sym("+"), sym("-"), sym("*"), sym("+-1")]
+
+    def test_digits_then_letters_is_a_symbol(self):
+        # the successor function's name starts with a digit
+        assert data("1+ 1a 1_000") == [sym("1+"), sym("1A"), sym("1_000")]
+
+    def test_string_with_escapes(self):
+        assert data(r'"a\"b\\c" "" "(;)"') == ['a"b\\c', "", "(;)"]
+        # a string may span lines, and later positions follow it
+        forms = read_source('"a\nb" x')
+        assert forms[0].datum == "a\nb"
+        assert (forms[1].line, forms[1].col) == (2, 4)
+
+    def test_comment_to_end_of_line(self):
+        forms = read_source("1 ; two (three\n4 ;")
+        assert [f.datum for f in forms] == [1, 4]
+        assert (forms[1].line, forms[1].col) == (2, 1)
+
+    def test_positions_are_one_based_and_monotonic(self):
+        form = one("(a\n\t b)")
+        a, b = form.datum
+        assert [(f.line, f.col) for f in (form, a, b)] == [(1, 1), (1, 2), (2, 3)]
+
+    def test_eof_token_terminates_stream(self):
+        # the end of the text ends the forms, with or without trailing blanks
+        assert read_source("") == []
+        assert read_source(" \t\r\n ; only a comment") == []
+        assert data("x") == data("x \n") == [sym("X")]
+
+    def test_unterminated_string_is_incomplete(self):
+        for text in ('"abc', '"abc\\', '"a\nb'):
+            err = read_error(text)
+            assert err.incomplete and err.message == "unterminated string literal"
+            assert (err.line, err.col) == (1, 1)
+
+    def test_unknown_escape_rejected(self):
+        err = read_error('(x\n "a\\nb")')
+        assert not err.incomplete
+        assert err.message == "unknown string escape '\\n'"
+        assert (err.line, err.col) == (2, 4)
+
+    def test_hash_without_quote_rejected(self):
+        err = read_error("#(1 2)")
+        assert (err.line, err.col) == (1, 1) and not err.incomplete
+        err = read_error("(a#b)")
+        assert (err.line, err.col) == (1, 3)
+
+    def test_control_character_rejected(self):
+        for text, col in (("a\x01b", 2), ("\x0b", 1), ("12\x1f", 3), (":\x01", 2)):
+            err = read_error(text)
+            assert err.message.startswith("illegal character (codepoint")
+            assert (err.line, err.col) == (1, col)
+
+    def test_integer_out_of_64bit_range(self):
+        assert data(str(2 ** 63 - 1)) == [2 ** 63 - 1]
+        assert data(str(-(2 ** 63))) == [-(2 ** 63)]
+        for text in (str(2 ** 63), str(-(2 ** 63) - 1)):
+            err = read_error(f"(x {text})")
+            assert (err.line, err.col) == (1, 4)
+
+    def test_lexemes_reassemble_to_equivalent_program(self):
+        # lexemes need no blanks between them, and extra blanks change nothing
+        src = "(deflazy si (c e a) (if c e a)) #'si ':k \"s\""
+        spaced = "( deflazy si ( c e a ) ( if c e a ) ) #' si ' :k \"s\" "
+        assert data(spaced) == data(src)
+
+    def test_only_ascii_digits_make_integers(self):
+        assert data("\u00b2 \u0661\u0662") == [sym("\u00b2"), sym("\u0661\u0662")]
+        with pytest.raises(EvalError) as exc:
+            Interpreter(prelude=False).run("(+ 1 \u00b2)")
+        assert exc.value.kind == "unbound-symbol"
+
+    def test_first_error_in_source_order_is_reported(self):
+        err = read_error(') "abc')
+        assert err.message == "unbalanced close parenthesis"
+        assert (err.line, err.col) == (1, 1) and not err.incomplete
+        err = read_error("(') #")
+        assert err.message == "' with no following form"
+        assert (err.line, err.col) == (1, 3)
 
 
 class TestParse:
@@ -171,6 +206,19 @@ class TestParse:
 
     def test_string_decoding(self):
         assert one(r'"a\"b\\c"').datum == 'a"b\\c'
+
+    def test_deep_nesting_needs_no_host_recursion(self):
+        depth = 100_000
+        form = one("(" * depth + ")" * depth)
+        for level in range(1, depth):
+            assert (form.line, form.col) == (1, level)
+            (form,) = form.datum
+        assert form.datum is NIL and form.col == depth
+
+    def test_deeply_nested_program_is_a_tagged_recursion_error(self):
+        with pytest.raises(EvalError) as exc:
+            Interpreter().run("(" * 20_000 + ")" * 20_000)
+        assert exc.value.kind == "recursion-limit"
 
 
 class TestFormToValue:
@@ -245,3 +293,57 @@ class TestPrintValue:
             text = print_value(value)
             again = interp.run(f"(quote {text})")
             assert print_value(again) == text
+
+
+# Characters that mean something to the reader, and a few that do not.
+_READER_ALPHABET = "()'#\";\\ \t\r\n:+-019azTnil\x01\x0b²"
+
+_ATOM_SOURCES = st.one_of(
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1).map(str),
+    st.text(alphabet="aznil+*<=/!-019²١", min_size=1, max_size=6),
+    st.text(alphabet="az019", min_size=1, max_size=4).map(lambda s: ":" + s),
+    st.text(alphabet='ab "\\\n;()', max_size=6).map(
+        lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'),
+)
+
+_FORM_SOURCES = st.recursive(
+    _ATOM_SOURCES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(lambda items: "(" + " ".join(items) + ")"),
+        inner.map(lambda text: "'" + text),
+        inner.map(lambda text: "#'" + text),
+    ),
+    max_leaves=12,
+)
+
+
+def same_value(a, b):
+    if isinstance(a, Cons) and isinstance(b, Cons):
+        return same_value(a.car, b.car) and same_value(a.cdr, b.cdr)
+    return type(a) is type(b) and a == b
+
+
+def assert_round_trips(forms):
+    for form in forms:
+        value = form_to_value(form)
+        again = read_source(print_value(value))
+        assert len(again) == 1
+        assert same_value(form_to_value(again[0]), value)
+
+
+class TestReaderProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(alphabet=_READER_ALPHABET, max_size=60))
+    def test_any_text_reads_or_raises_read_error(self, text):
+        try:
+            forms = read_source(text)
+        except ReadError:
+            return
+        assert_round_trips(forms)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(_FORM_SOURCES, min_size=1, max_size=4).map(" ".join))
+    def test_printed_forms_read_back_as_the_same_value(self, text):
+        forms = read_source(text)
+        assert forms
+        assert_round_trips(forms)
