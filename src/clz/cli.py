@@ -14,13 +14,7 @@ import threading
 import traceback
 
 from .core import Interpreter
-from .errors import (
-    DivergenceError,
-    EvalError,
-    LispError,
-    ReadError,
-    StepLimitExceeded,
-)
+from .errors import LispError, ReadError, StepLimitExceeded
 from .reader import read_source
 from .values import print_value
 
@@ -64,18 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kind_label(err: LispError) -> str:
-    if isinstance(err, EvalError):
-        return err.kind
-    if isinstance(err, ReadError):
-        return "read-error"
-    if isinstance(err, DivergenceError):
-        return "divergence"
-    if isinstance(err, StepLimitExceeded):
-        return "step-limit"
-    return "error"
-
-
 def _repl(interp: Interpreter) -> int:
     """Read, evaluate and print until EOF.
 
@@ -98,7 +80,7 @@ def _repl(interp: Interpreter) -> int:
             if not lines:
                 out.write("\n")
                 return 0
-            out.write(f"read-error at {pending.where()}: {pending.message}\n")
+            out.write(f"{pending.kind} at {pending.where()}: {pending.message}\n")
             replay, lines = lines[1:], []
             continue
         if not lines and not line.strip():
@@ -110,7 +92,7 @@ def _repl(interp: Interpreter) -> int:
             if err.incomplete:
                 pending = err
             else:
-                out.write(f"read-error at {err.where()}: {err.message}\n")
+                out.write(f"{err.kind} at {err.where()}: {err.message}\n")
                 lines = []
             continue
         lines = []
@@ -118,31 +100,21 @@ def _repl(interp: Interpreter) -> int:
             try:
                 value = interp.eval_top(form)
             except LispError as err:
-                out.write(f"{_kind_label(err)} at {err.where()}: {err.message}\n")
+                out.write(f"{err.kind} at {err.where()}: {err.message}\n")
                 break
             out.write(print_value(value) + "\n")
 
 
 def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:
     try:
-        forms = read_source(text)
-    except ReadError as err:
-        print(f"{origin}:{err.where()}: read-error: {err.message}",
-              file=sys.stderr)
-        return 1
-    for form in forms:
-        try:
+        for form in read_source(text):  # the whole text is read first
             value = interp.eval_top(form)
-        except StepLimitExceeded as err:
-            print(f"{origin}:{err.where()}: step-limit: {err.message}",
-                  file=sys.stderr)
-            return 3
-        except LispError as err:
-            print(f"{origin}:{err.where()}: {_kind_label(err)}: {err.message}",
-                  file=sys.stderr)
-            return 1
-        if echo:
-            print(print_value(value))
+            if echo:
+                print(print_value(value))
+    except LispError as err:
+        print(f"{origin}:{err.where()}: {err.kind}: {err.message}",
+              file=sys.stderr)
+        return 3 if isinstance(err, StepLimitExceeded) else 1
     return 0
 
 

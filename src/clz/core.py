@@ -2,8 +2,8 @@
 
 An Interpreter owns a global environment, the effect/thunk counters, and
 the step and depth budgets. Laziness shows up here in exactly two places:
-symbol reads force lazy binding slots, and apply/bind_lambda_list have a
-lazy mode that creates those slots.
+symbol reads force the slots of a lazy frame, and apply/bind_lambda_list
+have a lazy mode that builds that frame.
 """
 
 from __future__ import annotations
@@ -11,16 +11,9 @@ from __future__ import annotations
 import sys
 
 from . import builtins as _builtins
-from .errors import EvalError, LispError, StepLimitExceeded
-from .lambdalist import LambdaList, parse_lambda_list
-from .lazy import (
-    LAMBDA,
-    eval_delay,
-    eval_lambda,
-    eval_lazify,
-    eval_lazy_call,
-    force,
-)
+from .errors import EvalError, LispError, StepLimitExceeded, _malformed
+from .lambdalist import LambdaList, Param, parse_lambda_list
+from .lazy import eval_delay, eval_lazify, eval_lazy_call, force
 from .prelude import PRELUDE_SOURCE
 from .reader import Form, form_to_value, read_source
 from .values import (
@@ -32,7 +25,6 @@ from .values import (
     Symbol,
     Thunk,
     cons_list,
-    is_truthy,
     print_value,
 )
 
@@ -46,29 +38,22 @@ _MISSING = object()
 
 
 class Environment:
-    """Chain of lexical frames mapping symbols to binding slots.
+    """Chain of lexical frames mapping symbols to values.
 
-    A slot is either the value itself (plain) or a LazyBinding whose cell
-    is forced every time the symbol is read.
+    The frame of a lazy call is ``lazy``: its slots may hold raw thunks,
+    and every read of a slot forces it. Forcing is the identity on other
+    values, so the plain slots of that frame read as they are.
     """
 
-    __slots__ = ("vars", "parent")
+    __slots__ = ("vars", "parent", "lazy")
 
-    def __init__(self, parent: "Environment | None" = None):
+    def __init__(self, parent: "Environment | None" = None, lazy: bool = False):
         self.vars: dict = {}
         self.parent = parent
+        self.lazy = lazy
 
     def define(self, symbol: Symbol, value) -> None:
         self.vars[symbol] = value
-
-
-class LazyBinding:
-    """Marks an environment slot whose cell is forced on every read."""
-
-    __slots__ = ("cell",)
-
-    def __init__(self, cell):
-        self.cell = cell
 
 
 class Interpreter:
@@ -172,8 +157,8 @@ class Interpreter:
         while frame is not None:
             slot = frame.vars.get(symbol, _MISSING)
             if slot is not _MISSING:
-                if type(slot) is LazyBinding:
-                    return force(self, slot.cell)
+                if frame.lazy:
+                    return force(self, slot)
                 return slot
             frame = frame.parent
         line = form.line if form is not None else None
@@ -233,14 +218,14 @@ class Interpreter:
                          parent: Environment, fn=None) -> Environment:
         """Build the call frame for ``args`` against ``ll``.
 
-        Strict mode: every slot plain; missing defaults evaluated eagerly,
-        left to right, with earlier parameters visible. Lazy mode:
-        parameter slots are lazy (values may be raw thunks); a missing
-        optional/keyword parameter gets a thunk over its default
-        expression closed over the frame built so far; supplied-p slots
-        are plain t/nil; the rest slot is a plain list of raw arguments.
+        Strict mode: missing defaults evaluated eagerly, left to right,
+        with earlier parameters visible. Lazy mode: the frame is lazy
+        (values may be raw thunks); a missing optional/keyword parameter
+        gets a thunk over its default expression closed over the frame
+        built so far; supplied-p slots hold t/nil; the rest slot is a list
+        of raw arguments.
         """
-        frame = Environment(parent)
+        frame = Environment(parent, lazy)
         slots = frame.vars
         n = len(args)
         nreq = len(ll.required)
@@ -250,33 +235,18 @@ class Interpreter:
                 None, None, kind="arity-mismatch")
         i = 0
         for name in ll.required:
-            slots[name] = LazyBinding(args[i]) if lazy else args[i]
+            slots[name] = args[i]
             i += 1
-        for opt in ll.optional:
-            if i < n:
-                slots[opt.name] = LazyBinding(args[i]) if lazy else args[i]
-                i += 1
-                if opt.supplied is not None:
-                    slots[opt.supplied] = T
-            else:
-                self._bind_default(frame, opt.name, opt.default, lazy)
-                if opt.supplied is not None:
-                    slots[opt.supplied] = NIL
+        for param in ll.optional:
+            self._bind_param(frame, param, args[i] if i < n else _MISSING, lazy)
+            i += 1
         tail = args[i:]
         if ll.rest is not None:
             slots[ll.rest] = cons_list(tail)
         if ll.keys:
             pairs = self._keyword_pairs(tail, ll, _label(fn))
-            for key in ll.keys:
-                if key.keyword in pairs:
-                    value = pairs[key.keyword]
-                    slots[key.name] = LazyBinding(value) if lazy else value
-                    if key.supplied is not None:
-                        slots[key.supplied] = T
-                else:
-                    self._bind_default(frame, key.name, key.default, lazy)
-                    if key.supplied is not None:
-                        slots[key.supplied] = NIL
+            for param in ll.keys:
+                self._bind_param(frame, param, pairs.get(param.keyword, _MISSING), lazy)
         elif tail and ll.rest is None:
             raise EvalError(
                 f"{_label(fn)} expected at most {len(ll.required) + len(ll.optional)} "
@@ -304,16 +274,25 @@ class Interpreter:
                 pairs[marker] = value
         return pairs
 
-    def _bind_default(self, frame: Environment, name: Symbol,
-                      default: Form | None, lazy: bool):
-        if default is None:
-            value = NIL
-        elif lazy:
-            self.thunk_allocations += 1
-            value = Thunk(default, frame, self.memoize)
-        else:
-            value = self.evaluate(default, frame)
-        frame.vars[name] = LazyBinding(value) if lazy else value
+    def _bind_param(self, frame: Environment, param: Param, value, lazy: bool):
+        """Bind an &optional or &key parameter, and its supplied-p flag.
+
+        A ``value`` of _MISSING means no argument was given: the default
+        is evaluated now in strict mode, thunked in lazy mode.
+        """
+        supplied = T
+        if value is _MISSING:
+            supplied = NIL
+            if param.default is None:
+                value = NIL
+            elif lazy:
+                self.thunk_allocations += 1
+                value = Thunk(param.default, frame, self.memoize)
+            else:
+                value = self.evaluate(param.default, frame)
+        frame.vars[param.name] = value
+        if param.supplied is not None:
+            frame.vars[param.supplied] = supplied
 
 
 def _label(fn) -> str:
@@ -324,10 +303,6 @@ def _label(fn) -> str:
 
 
 # ------------------------------------------------------------ special forms
-
-def _malformed(message: str, form: Form) -> EvalError:
-    return EvalError(message, form.line, form.col, kind="malformed-special-form")
-
 
 def _sf_quote(interp, form, env):
     items = form.datum
@@ -340,7 +315,7 @@ def _sf_if(interp, form, env):
     items = form.datum
     if len(items) not in (3, 4):
         raise _malformed("if takes a condition, a then-form, and an optional else-form", form)
-    if is_truthy(interp.evaluate(items[1], env)):
+    if interp.evaluate(items[1], env) is not NIL:
         return interp.evaluate(items[2], env)
     if len(items) == 4:
         return interp.evaluate(items[3], env)
@@ -377,6 +352,15 @@ def _sf_let(interp, form, env):
     return interp.eval_body(items[2:], frame)
 
 
+def _sf_lambda(interp, form, env) -> FunctionObject:
+    """(lambda (params...) body...) -> a strict closure over ``env``."""
+    items = form.datum
+    if len(items) < 2:
+        raise _malformed("lambda needs a lambda list", form)
+    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env,
+                          lazy=False)
+
+
 def _sf_function(interp, form, env):
     items = form.datum
     if len(items) != 2:
@@ -389,8 +373,8 @@ def _sf_function(interp, form, env):
             return value
         raise EvalError(f"{d.name} does not name a function",
                         target.line, target.col, kind="not-a-function")
-    if isinstance(d, list) and d and d[0].datum is LAMBDA:
-        return eval_lambda(interp, target, env)
+    if isinstance(d, list) and d and d[0].datum is _LAMBDA:
+        return _sf_lambda(interp, target, env)
     raise _malformed("function expects a symbol or a lambda form", target)
 
 
@@ -459,13 +443,14 @@ def _sf_loop(interp, form, env):
 
 
 _DEFLAZY = Symbol.intern("DEFLAZY")
+_LAMBDA = Symbol.intern("LAMBDA")
 
 _SPECIAL_FORMS = {
     Symbol.intern("QUOTE"): _sf_quote,
     Symbol.intern("IF"): _sf_if,
     Symbol.intern("PROGN"): _sf_progn,
     Symbol.intern("LET"): _sf_let,
-    LAMBDA: eval_lambda,
+    _LAMBDA: _sf_lambda,
     Symbol.intern("FUNCTION"): _sf_function,
     Symbol.intern("DEFUN"): _sf_defun,
     Symbol.intern("DEFPARAMETER"): _sf_defparameter,

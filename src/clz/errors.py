@@ -7,8 +7,11 @@ class LispError(Exception):
     """Base class for every condition the interpreter signals.
 
     ``line``/``col`` are 1-based source coordinates when known; the evaluator
-    fills them in from the innermost form that carries a position.
+    fills them in from the innermost form that carries a position. ``kind``
+    is the machine-readable tag that error reports print.
     """
+
+    kind = "error"
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         super().__init__(message)
@@ -29,6 +32,8 @@ class ReadError(LispError):
     input (unclosed list, unterminated string, dangling quote): more text
     could still complete the form.
     """
+
+    kind = "read-error"
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None,
                  incomplete: bool = False):
@@ -52,9 +57,18 @@ class EvalError(LispError):
         self.kind = kind
 
 
+def _malformed(message: str, form) -> EvalError:
+    """A malformed-special-form error positioned at ``form``."""
+    return EvalError(message, form.line, form.col, kind="malformed-special-form")
+
+
 class DivergenceError(LispError):
     """Raised by (diverge): the testable stand-in for a non-terminating form."""
+
+    kind = "divergence"
 
 
 class StepLimitExceeded(LispError):
     """The configured evaluation step budget was exhausted."""
+
+    kind = "step-limit"

@@ -18,17 +18,12 @@ _KEY = Symbol.intern("&KEY")
 _MARKERS = {_OPTIONAL, _REST, _KEY}
 
 
-class OptionalParam(NamedTuple):
-    name: Symbol
+class Param(NamedTuple):
+    """An &optional parameter (``keyword`` None) or a &key parameter."""
+    name: Symbol                # the variable bound in the body
+    keyword: Optional[Keyword]  # the marker callers pass, e.g. :name
     default: Optional[Form]     # None means no default written (binds NIL)
     supplied: Optional[Symbol]  # supplied-p variable, if written
-
-
-class KeyParam(NamedTuple):
-    name: Symbol                # the variable bound in the body
-    keyword: Keyword            # the marker callers pass, e.g. :name
-    default: Optional[Form]
-    supplied: Optional[Symbol]
 
 
 class LambdaList:
@@ -36,9 +31,9 @@ class LambdaList:
 
     def __init__(self, required, optional, rest, keys):
         self.required: list[Symbol] = required
-        self.optional: list[OptionalParam] = optional
+        self.optional: list[Param] = optional
         self.rest: Optional[Symbol] = rest
-        self.keys: list[KeyParam] = keys
+        self.keys: list[Param] = keys
 
 
 def _bad(msg: str, form: Optional[Form]) -> EvalError:
@@ -72,9 +67,9 @@ def parse_lambda_list(form: Form) -> LambdaList:
         raise _bad(f"lambda list must be a list, got {form!r}", form)
 
     required: list[Symbol] = []
-    optional: list[OptionalParam] = []
+    optional: list[Param] = []
     rest: Optional[Symbol] = None
-    keys: list[KeyParam] = []
+    keys: list[Param] = []
     seen: set[Symbol] = set()
 
     def claim(name: Symbol, where: Form):
@@ -116,9 +111,9 @@ def parse_lambda_list(form: Form) -> LambdaList:
             claim(name, item)
             required.append(name)
         elif section == SECTION_OPTIONAL:
-            optional.append(_parse_optional(item, claim))
+            optional.append(_parse_param(item, claim, keyed=False))
         elif section == SECTION_KEY:
-            keys.append(_parse_key(item, claim))
+            keys.append(_parse_param(item, claim, keyed=True))
         else:
             raise _bad("parameter after the &rest section", item)
         i += 1
@@ -126,33 +121,21 @@ def parse_lambda_list(form: Form) -> LambdaList:
     return LambdaList(required, optional, rest, keys)
 
 
-def _parse_optional(item: Form, claim) -> OptionalParam:
+def _parse_param(item: Form, claim, keyed: bool) -> Param:
+    """Parse one &optional parameter, or one &key parameter if ``keyed``."""
     d = item.datum
     if isinstance(d, Symbol):
         claim(d, item)
-        return OptionalParam(d, None, None)
+        return Param(d, Keyword.intern(d.name) if keyed else None, None, None)
+    marker = "&key" if keyed else "&optional"
     if not isinstance(d, list) or not 1 <= len(d) <= 3:
-        raise _bad(f"malformed &optional parameter {item!r}", item)
-    name = _param_symbol(d[0])
-    claim(name, d[0])
-    default = d[1] if len(d) >= 2 else None
-    supplied = None
-    if len(d) == 3:
-        supplied = _param_symbol(d[2])
-        claim(supplied, d[2])
-    return OptionalParam(name, default, supplied)
-
-
-def _parse_key(item: Form, claim) -> KeyParam:
-    d = item.datum
-    if isinstance(d, Symbol):
-        claim(d, item)
-        return KeyParam(d, Keyword.intern(d.name), None, None)
-    if not isinstance(d, list) or not 1 <= len(d) <= 3:
-        raise _bad(f"malformed &key parameter {item!r}", item)
+        raise _bad(f"malformed {marker} parameter {item!r}", item)
 
     head = d[0]
-    if isinstance(head.datum, list):
+    keyword = None
+    if not keyed:
+        name = _param_symbol(head)
+    elif isinstance(head.datum, list):
         # ((:external internal) default supplied-p)
         pair = head.datum
         if len(pair) != 2 or not isinstance(pair[0].datum, Keyword):
@@ -171,4 +154,4 @@ def _parse_key(item: Form, claim) -> KeyParam:
     if len(d) == 3:
         supplied = _param_symbol(d[2])
         claim(supplied, d[2])
-    return KeyParam(name, keyword, default, supplied)
+    return Param(name, keyword, default, supplied)

@@ -9,14 +9,11 @@ when it actually reads it.
 
 from __future__ import annotations
 
-from .errors import EvalError
-from .lambdalist import parse_lambda_list
+from .errors import EvalError, _malformed
 from .reader import Form
 from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, print_value
 
 _QUOTE = Symbol.intern("QUOTE")
-LAMBDA = Symbol.intern("LAMBDA")
-_FUNCTION = Symbol.intern("FUNCTION")
 
 
 def delay(interp, form: Form, env) -> Thunk:
@@ -79,20 +76,6 @@ def constant_p(form: Form) -> bool:
     return not isinstance(datum, Symbol)
 
 
-def eval_lambda(interp, form: Form, env, lazy: bool = False) -> FunctionObject:
-    """(lambda (params...) body...) -> a closure over the current environment.
-
-    As the lambda special form it builds a strict closure; ``(lazy
-    (lambda ...))`` builds a lazy one.
-    """
-    items = form.datum
-    if len(items) < 2:
-        raise EvalError("lambda needs a lambda list",
-                        form.line, form.col, kind="malformed-special-form")
-    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env,
-                          lazy=lazy)
-
-
 def lazy_callee(interp, op, form: Form) -> "FunctionObject | BuiltinFunction":
     """Find the function lazy-call enters for the operator value ``op``.
 
@@ -130,8 +113,7 @@ def eval_lazy_call(interp, form: Form, env):
     """
     items = form.datum
     if len(items) < 2:
-        raise EvalError("lazy-call needs an operator",
-                        form.line, form.col, kind="malformed-special-form")
+        raise _malformed("lazy-call needs an operator", form)
     op = interp.evaluate(items[1], env)
     fn = lazy_callee(interp, op, items[1])
     args = []
@@ -146,21 +128,15 @@ def eval_lazy_call(interp, form: Form, env):
 def eval_lazify(interp, form: Form, env):
     """(lazy EXPR) -> a lazy-mode function value.
 
-    A literal (lambda ...) or #'(lambda ...) becomes a fresh lazy closure
-    over the current environment. Any other EXPR is evaluated: a lazy
-    function passes through, a strict one (deflazy's included) is
-    re-wrapped as lazy over the same lambda list, body and closure, and a
-    builtin gets a force-all-arguments wrapper.
+    EXPR is evaluated: a lazy function passes through, a strict one
+    (deflazy's and a fresh lambda's included) is re-wrapped as lazy over
+    the same lambda list, body and closure, and a builtin gets a
+    force-all-arguments wrapper.
     """
     items = form.datum
     if len(items) != 2:
-        raise EvalError("lazy takes exactly one expression",
-                        form.line, form.col, kind="malformed-special-form")
-    target = items[1]
-    lam = _extract_lambda_form(target)
-    if lam is not None:
-        return eval_lambda(interp, lam, env, lazy=True)
-    value = interp.evaluate(target, env)
+        raise _malformed("lazy takes exactly one expression", form)
+    value = interp.evaluate(items[1], env)
     if isinstance(value, (FunctionObject, BuiltinFunction)) and value.lazy:
         return value
     if isinstance(value, FunctionObject):
@@ -169,28 +145,12 @@ def eval_lazify(interp, form: Form, env):
     if isinstance(value, BuiltinFunction):
         return value.lazified()
     raise EvalError(f"{print_value(value)} is not a function",
-                    target.line, target.col, kind="not-a-function")
-
-
-def _extract_lambda_form(form: Form):
-    """Return the (lambda ...) form inside EXPR or #'EXPR, else None."""
-    d = form.datum
-    if not isinstance(d, list) or not d:
-        return None
-    head = d[0].datum
-    if head is LAMBDA:
-        return form
-    if head is _FUNCTION and len(d) == 2:
-        inner = d[1].datum
-        if isinstance(inner, list) and inner and inner[0].datum is LAMBDA:
-            return d[1]
-    return None
+                    items[1].line, items[1].col, kind="not-a-function")
 
 
 def eval_delay(interp, form: Form, env) -> Thunk:
     """(delay EXPR) -> #<thunk> capturing EXPR and the current environment."""
     items = form.datum
     if len(items) != 2:
-        raise EvalError("delay takes exactly one expression",
-                        form.line, form.col, kind="malformed-special-form")
+        raise _malformed("delay takes exactly one expression", form)
     return delay(interp, items[1], env)

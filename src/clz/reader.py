@@ -173,11 +173,28 @@ def _diagnose(text: str, pos: int) -> ReadError:
 
 
 def form_to_value(form: Form):
-    """Quote semantics: turn a parsed form into the datum it denotes."""
-    datum = form.datum
-    if isinstance(datum, list):
-        result = NIL
-        for item in reversed(datum):
-            result = Cons(form_to_value(item), result)
-        return result
-    return datum
+    """Quote semantics: turn a parsed form into the datum it denotes.
+
+    Each list is consed up from its last item, with an explicit stack of
+    the enclosing lists, so any nesting depth converts.
+    """
+    items = form.datum
+    if not isinstance(items, list):
+        return items
+    pending = []  # (items, index, tail built so far) of each enclosing list
+    i, tail = len(items), NIL
+    while True:
+        if i:
+            i -= 1
+            datum = items[i].datum
+            if isinstance(datum, list):
+                pending.append((items, i, tail))
+                items, i, tail = datum, len(datum), NIL
+            else:
+                tail = Cons(datum, tail)
+        elif pending:
+            inner = tail
+            items, i, tail = pending.pop()
+            tail = Cons(inner, tail)
+        else:
+            return tail

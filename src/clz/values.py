@@ -74,10 +74,6 @@ NIL = _Nil()
 T = _True()
 
 
-def is_truthy(value) -> bool:
-    return value is not NIL
-
-
 class Cons:
     """Immutable pair. Proper lists are cons chains ending in NIL."""
 
@@ -158,10 +154,10 @@ class BuiltinFunction:
         return print_value(self)
 
 
-def cons_list(items, tail=NIL):
-    """Build a proper list (or one ending in ``tail``) from a Python iterable."""
-    result = tail
-    for item in reversed(list(items)):
+def cons_list(items: list):
+    """Build a proper list from a Python list."""
+    result = NIL
+    for item in reversed(items):
         result = Cons(item, result)
     return result
 
@@ -191,16 +187,35 @@ def print_value(value) -> str:
     if isinstance(value, Thunk):
         return "#<thunk>"
     if isinstance(value, Cons):
-        parts = []
-        cur = value
-        while isinstance(cur, Cons):
-            parts.append(print_value(cur.car))
-            cur = cur.cdr
-        if cur is NIL:
-            return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + print_value(cur) + ")"
+        return _print_list(value)
     if isinstance(value, (FunctionObject, BuiltinFunction)):
         if value.name is not None:
             return f"#<function {value.name.name}>"
         return "#<lambda>"
     raise TypeError(f"not a lisp value: {value!r}")
+
+
+def _print_list(value: Cons) -> str:
+    """Print a list, walking nested lists with an explicit stack, so that
+    any depth prints."""
+    out = ["("]
+    pending = []  # the unprinted rest of each enclosing list
+    cur = value
+    while True:
+        car = cur.car
+        if isinstance(car, Cons):
+            pending.append(cur.cdr)
+            out.append("(")
+            cur = car
+            continue
+        out.append(print_value(car))
+        cur = cur.cdr
+        while not isinstance(cur, Cons):
+            if cur is not NIL:
+                out.append(" . ")
+                out.append(print_value(cur))
+            out.append(")")
+            if not pending:
+                return "".join(out)
+            cur = pending.pop()
+        out.append(" ")

@@ -8,6 +8,8 @@ from clz import (
     EvalError,
     Interpreter,
     Keyword,
+    LispError,
+    ReadError,
     StepLimitExceeded,
     Symbol,
     T,
@@ -300,3 +302,12 @@ class TestBudgets:
         a.run("(defparameter only-a 1)")
         with pytest.raises(EvalError):
             b.run("only-a")
+
+
+class TestErrorKinds:
+    def test_every_error_class_carries_its_kind(self):
+        assert LispError("m").kind == "error"
+        assert ReadError("m").kind == "read-error"
+        assert DivergenceError("m").kind == "divergence"
+        assert StepLimitExceeded("m").kind == "step-limit"
+        assert EvalError("m", kind="type-error").kind == "type-error"

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clz import (
     NIL,
@@ -13,6 +15,7 @@ from clz import (
     Interpreter,
     Symbol,
     Thunk,
+    print_value,
 )
 from clz.lazy import force
 from tests.conftest import corpus, to_py
@@ -383,3 +386,148 @@ class TestModesAgree:
         src = """(deflazy blend (a b c) (if (< a b) (+ (* a b) c) (- c b)))
                  (lazy-call #'blend (+ 1 2) (* 2 3) (- 10 4))"""
         assert Interpreter().run(src) == Interpreter(memoize=True).run(src)
+
+
+# ------------------------------------------------ binder, strict vs lazy
+
+_ARG_FORMS = st.sampled_from(["7", "-2", "(+ 0 8)", "'a", "(list 1 2)", "nil"])
+
+
+@st.composite
+def _binder_cases(draw):
+    """A lambda list, an argument list, and the error kind it must raise.
+
+    Returns (lambda_list, diverging, reads, supplied, args, kind):
+    ``diverging`` is the lambda list with every default replaced by
+    (diverge); ``reads`` reads each variable it binds, forcing the
+    elements of the rest list; ``supplied`` are its supplied-p variables;
+    ``kind`` is None when the arguments bind.
+    """
+    counter = iter(range(100))
+    reads, supplied, visible = [], [], []
+
+    def fresh():
+        name = f"v{next(counter)}"
+        reads.append(name)
+        return name
+
+    required = [fresh() for _ in range(draw(st.integers(0, 2)))]
+    visible += required
+
+    def param(keyed):
+        """One &optional or &key parameter: (text, diverging text, keyword)."""
+        name = fresh()
+        head, keyword = name, ":" + name
+        if keyed and draw(st.booleans()):
+            keyword = f":k{name}"
+            head = f"({keyword} {name})"
+        shape = draw(st.sampled_from(["bare", "default", "supplied"]))
+        if shape == "bare":
+            text = name if head == name else f"({head})"
+            diverging = f"({head} (diverge))"
+        else:
+            default = draw(st.sampled_from(
+                ["5", "(+ 1 2)"] + [f"(list {v})" for v in visible]))
+            flag = ""
+            if shape == "supplied":
+                supplied.append(fresh())
+                visible.append(supplied[-1])
+                flag = " " + supplied[-1]
+            text = f"({head} {default}{flag})"
+            diverging = f"({head} (diverge){flag})"
+        visible.append(name)
+        return text, diverging, keyword
+
+    optional = [param(False) for _ in range(draw(st.integers(0, 2)))]
+    rest = None
+    if draw(st.booleans()):
+        rest = fresh()
+        reads[-1] = f"(force-all {rest})"
+    keys = [param(True) for _ in range(draw(st.integers(0, 2)))]
+
+    def lambda_list(index):
+        parts = list(required)
+        if optional:
+            parts += ["&optional"] + [p[index] for p in optional]
+        if rest:
+            parts += ["&rest", rest]
+        if keys:
+            parts += ["&key"] + [p[index] for p in keys]
+        return "(" + " ".join(parts) + ")"
+
+    def arg():
+        return draw(_ARG_FORMS)
+
+    faults = []
+    if required:
+        faults.append("too-few")
+    if keys:
+        faults += ["odd", "unknown", "not-a-keyword"]
+    elif not rest:
+        faults.append("too-many")
+    fault = None
+    if faults and draw(st.booleans()):
+        fault = draw(st.sampled_from(faults))
+
+    if fault == "too-few":
+        args = [arg() for _ in range(len(required) - 1)]
+        return lambda_list(0), lambda_list(1), reads, supplied, args, "arity-mismatch"
+    filled = draw(st.integers(0, len(optional))) if fault is None else len(optional)
+    args = [arg() for _ in range(len(required) + filled)]
+    if filled == len(optional):
+        if keys:
+            for _ in range(draw(st.integers(0, 3))):
+                args += [draw(st.sampled_from(keys))[2], arg()]
+        elif rest:
+            args += [arg() for _ in range(draw(st.integers(0, 2)))]
+    kind = None
+    if fault == "too-many":
+        args.append(arg())
+        kind = "arity-mismatch"
+    elif fault == "odd":
+        args.append(keys[0][2])
+        kind = "odd-keyword-arguments"
+    elif fault == "unknown":
+        args += [":nokey", arg()]
+        kind = "unknown-keyword-argument"
+    elif fault == "not-a-keyword":
+        args += [arg(), arg()]
+        kind = "type-error"
+    return lambda_list(0), lambda_list(1), reads, supplied, args, kind
+
+
+def _printed_items(value):
+    items = []
+    while isinstance(value, Cons):
+        items.append(print_value(value.car))
+        value = value.cdr
+    return items
+
+
+class TestBinderModesAgree:
+    """A strict call and lazy-call of the same deflazy function bind alike."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_binder_cases(), st.booleans())
+    def test_strict_and_lazy_binding_agree(self, case, memoize):
+        lambda_list, diverging, reads, supplied, args, kind = case
+        args = " ".join(args)
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(defun force-all (xs)"
+                   " (if xs (cons (force (car xs)) (force-all (cdr xs))) nil))")
+        interp.run(f"(deflazy f {lambda_list} (list {' '.join(reads)}))")
+        outcomes = []
+        for call in (f"(f {args})", f"(lazy-call 'f {args})"):
+            try:
+                outcomes.append(print_value(interp.run(call)))
+            except EvalError as err:
+                outcomes.append(err.kind)
+        if kind is not None:
+            assert outcomes == [kind, kind]
+            return
+        assert outcomes[0] == outcomes[1]
+        # a (diverge) default that the body does not read never fires
+        interp.run(f"(deflazy g {diverging} (list {' '.join(supplied)}))")
+        flags = _printed_items(interp.run(f"(lazy-call 'g {args})"))
+        bound = dict(zip(reads, _printed_items(interp.run(f"(f {args})"))))
+        assert flags == [bound[name] for name in supplied]

@@ -237,6 +237,13 @@ class TestFormToValue:
     def test_empty_list_is_nil(self):
         assert form_to_value(one("()")) is NIL
 
+    def test_deep_quoted_data_needs_no_host_recursion(self):
+        interp = Interpreter(prelude=False)
+        text = "(" * 12_000 + "1" + ")" * 12_000
+        assert print_value(interp.run("'" + text)) == text
+        value = interp.run("'" + "(" * 12_000 + ")" * 12_000)
+        assert print_value(value) == "(" * 11_999 + "NIL" + ")" * 11_999
+
 
 class TestPrintValue:
     def test_atoms_print_as_read(self):
@@ -251,6 +258,16 @@ class TestPrintValue:
     def test_proper_list(self):
         v = Cons(1, Cons(2, NIL))
         assert print_value(v) == "(1 2)"
+
+    def test_deeply_nested_cons_prints(self):
+        value = NIL
+        for _ in range(100_000):
+            value = Cons(value, Cons(1, NIL))
+        assert print_value(value) == "(" * 100_000 + "NIL" + " 1)" * 100_000
+
+    def test_dotted_tails_inside_nested_lists(self):
+        value = Cons(Cons(1, 2), Cons(Cons(Cons(3, NIL), 4), 5))
+        assert print_value(value) == "((1 . 2) ((3) . 4) . 5)"
 
     def test_pair_with_thunk_cdr(self, interp):
         v = interp.run("(cons 1 (delay (diverge)))")
