@@ -169,4 +169,4 @@ _TABLE = [
 def install(interp) -> None:
     for name, fn, lo, hi in _TABLE:
         symbol = Symbol.intern(name)
-        interp.global_env.define(symbol, BuiltinFunction(symbol, fn, lo, hi))
+        interp.global_env.vars[symbol] = BuiltinFunction(symbol, fn, lo, hi)

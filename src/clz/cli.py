@@ -1,30 +1,20 @@
 """Command line: REPL by default, or run a file, or evaluate one string.
 
-Deep lazy structures force recursively, so evaluation runs on a worker
-thread with a large stack; the host recursion ceiling is scaled to the
-configured recursion limit. Exit codes: 0 success, 1 evaluation or read
-error, 2 I/O error, 3 step limit.
+Deep lazy structures force recursively, so evaluation runs on the
+big-stack thread of core.on_big_stack, sized for --recursion-limit;
+there each form gets the full host recursion ceiling. Exit codes: 0
+success, 1 evaluation or read error, 2 I/O error, 3 step limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import threading
-import traceback
 
-from .core import Interpreter
+from .core import Interpreter, on_big_stack
 from .errors import LispError, ReadError, StepLimitExceeded
 from .reader import read_source
 from .values import print_value
-
-# Host frames consumed per unit of interpreter recursion depth, with
-# margin, and a per-frame stack allowance. Both were sized by measuring
-# deep stream forcing; see the recursion tests.
-_FRAMES_PER_DEPTH = 24
-_BYTES_PER_FRAME = 2048
-_MIN_STACK = 512 * 1024 * 1024
-_MAX_STACK = 2 * 1024 * 1024 * 1024
 
 
 def _positive_int(text: str) -> int:
@@ -143,27 +133,4 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.file is not None and args.eval_text is not None:
         parser.error("give a FILE or --eval, not both")
-
-    outcome: dict = {}
-
-    def work():
-        try:
-            needed = args.recursion_limit * _FRAMES_PER_DEPTH + 5000
-            if sys.getrecursionlimit() < needed:
-                sys.setrecursionlimit(needed)
-            outcome["code"] = _dispatch(args)
-        except BaseException:
-            traceback.print_exc()
-            outcome["code"] = 1
-
-    stack = min(max(_MIN_STACK,
-                    args.recursion_limit * _FRAMES_PER_DEPTH * _BYTES_PER_FRAME),
-                _MAX_STACK)
-    old_stack = threading.stack_size(stack)
-    try:
-        worker = threading.Thread(target=work, name="clz-eval")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_stack)
-    return outcome.get("code", 1)
+    return on_big_stack(args.recursion_limit, lambda: _dispatch(args))

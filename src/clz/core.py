@@ -9,11 +9,12 @@ have a lazy mode that builds that frame.
 from __future__ import annotations
 
 import sys
+import threading
 
 from . import builtins as _builtins
 from .errors import EvalError, LispError, StepLimitExceeded, _malformed
 from .lambdalist import LambdaList, Param, parse_lambda_list
-from .lazy import eval_delay, eval_lazify, eval_lazy_call, force
+from .lazy import delay, eval_delay, eval_lazify, eval_lazy_call, force
 from .prelude import PRELUDE_SOURCE
 from .reader import Form, form_to_value, read_source
 from .values import (
@@ -23,16 +24,48 @@ from .values import (
     FunctionObject,
     Keyword,
     Symbol,
-    Thunk,
     cons_list,
     print_value,
 )
 
-# Constructing an interpreter raises the host recursion ceiling up to this
-# many frames; the CLI runs evaluation on a big-stack thread and goes
-# higher. Past either ceiling, RecursionError surfaces as EvalError
-# recursion-limit at the top-level boundary.
-_HOST_RECURSION_CAP = 12_000
+# The host stack: forcing nests evaluation on it. Host frames per unit of
+# the depth guard, measured on Python 3.11: 2.5 in strict recursion, 2.67
+# through let/progn/ecase, 3.0 through lazy-call, 3.5 through funcall, at
+# most 4.5 where a lazy frame reads a thunk over a symbol. A thread that
+# on_big_stack starts gets a ceiling of 24 frames per unit plus 5,000, and
+# 2 KB of stack per frame of it, within 512 MB to 2 GB. The surplus covers
+# thunk-over-symbol chains built across top-level forms, which the depth
+# guard does not count. Any other thread keeps its stack, so its ceiling is
+# 12,000: one of 245,000 segfaults an 8 MB main thread.
+_FRAMES_PER_DEPTH, _BYTES_PER_FRAME = 24, 2048
+_MIN_STACK, _MAX_STACK, _UNSIZED_CEILING = 512 << 20, 2 << 30, 12_000
+_sized = threading.local()  # .ceiling is set on threads on_big_stack starts
+
+
+def on_big_stack(recursion_limit: int, fn):
+    """Return or raise what ``fn()`` does on a new thread sized for
+    ``recursion_limit``, whose top-level forms get the full host ceiling."""
+    ceiling = recursion_limit * _FRAMES_PER_DEPTH + 5000
+    outcome: dict = {}
+
+    def work():
+        _sized.ceiling = ceiling
+        try:
+            outcome["value"] = fn()
+        except BaseException as err:
+            outcome["error"] = err
+
+    old_stack = threading.stack_size(min(max(_MIN_STACK, ceiling * _BYTES_PER_FRAME), _MAX_STACK))
+    try:
+        worker = threading.Thread(target=work, name="clz-eval")
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(old_stack)
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
 
 _MISSING = object()
 
@@ -52,16 +85,16 @@ class Environment:
         self.parent = parent
         self.lazy = lazy
 
-    def define(self, symbol: Symbol, value) -> None:
-        self.vars[symbol] = value
-
 
 class Interpreter:
     """One evaluation universe: bindings, counters, budgets.
 
     Instances are independent and single-threaded; never share one across
-    threads. ``memoize`` selects call-by-need thunks instead of the
-    default call-by-name. ``step_limit`` bounds evaluator steps plus loop
+    threads. Construction changes no process state; each top-level form
+    raises the process-wide host recursion ceiling to its thread's while
+    it runs, so no two interpreters may evaluate on two threads at once.
+    ``memoize`` selects call-by-need thunks instead of the default
+    call-by-name. ``step_limit`` bounds evaluator steps plus loop
     iterations per top-level form; ``recursion_limit`` bounds nested
     list-form evaluations.
     """
@@ -82,9 +115,6 @@ class Interpreter:
         self.thunk_allocations = 0
         self._steps = 0
         self._depth = 0
-        wanted = min(recursion_limit * 8 + 2000, _HOST_RECURSION_CAP)
-        if sys.getrecursionlimit() < wanted:
-            sys.setrecursionlimit(wanted)
         _builtins.install(self)
         if prelude:
             self.load_prelude()
@@ -106,6 +136,10 @@ class Interpreter:
         """Evaluate one top-level form with fresh step/depth budgets."""
         self._steps = 0
         self._depth = 0
+        found = sys.getrecursionlimit()
+        ceiling = vars(_sized).get("ceiling", _UNSIZED_CEILING)
+        if ceiling > found:
+            sys.setrecursionlimit(ceiling)
         try:
             return self.evaluate(form, self.global_env)
         except RecursionError:
@@ -114,6 +148,8 @@ class Interpreter:
                 "lower the program's depth or raise the recursion limit "
                 "via the command line",
                 form.line, form.col, kind="recursion-limit") from None
+        finally:
+            sys.setrecursionlimit(found)
 
     def load_prelude(self) -> None:
         self.run(PRELUDE_SOURCE)
@@ -223,7 +259,7 @@ class Interpreter:
         (values may be raw thunks); a missing optional/keyword parameter
         gets a thunk over its default expression closed over the frame
         built so far; supplied-p slots hold t/nil; the rest slot is a list
-        of raw arguments.
+        of raw arguments; keyword markers are forced, their values not.
         """
         frame = Environment(parent, lazy)
         slots = frame.vars
@@ -244,7 +280,7 @@ class Interpreter:
         if ll.rest is not None:
             slots[ll.rest] = cons_list(tail)
         if ll.keys:
-            pairs = self._keyword_pairs(tail, ll, _label(fn))
+            pairs = self._keyword_pairs(tail, ll, _label(fn), lazy)
             for param in ll.keys:
                 self._bind_param(frame, param, pairs.get(param.keyword, _MISSING), lazy)
         elif tail and ll.rest is None:
@@ -254,7 +290,7 @@ class Interpreter:
                 None, None, kind="arity-mismatch")
         return frame
 
-    def _keyword_pairs(self, tail: list, ll: LambdaList, label: str) -> dict:
+    def _keyword_pairs(self, tail: list, ll: LambdaList, label: str, lazy: bool) -> dict:
         if len(tail) % 2 != 0:
             raise EvalError(
                 f"{label} received an odd number of keyword arguments",
@@ -262,6 +298,8 @@ class Interpreter:
         known = {key.keyword for key in ll.keys}
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
+            if lazy:
+                marker = force(self, marker)
             if not isinstance(marker, Keyword):
                 raise EvalError(
                     f"{label} expected a keyword marker, got {print_value(marker)}",
@@ -286,8 +324,7 @@ class Interpreter:
             if param.default is None:
                 value = NIL
             elif lazy:
-                self.thunk_allocations += 1
-                value = Thunk(param.default, frame, self.memoize)
+                value = delay(self, param.default, frame)
             else:
                 value = self.evaluate(param.default, frame)
         frame.vars[param.name] = value
@@ -342,11 +379,11 @@ def _sf_let(interp, form, env):
     for binding in bindings:
         d = binding.datum
         if isinstance(d, Symbol):
-            frame.define(d, NIL)
+            frame.vars[d] = NIL
             continue
         if isinstance(d, list) and 1 <= len(d) <= 2 and isinstance(d[0].datum, Symbol):
             value = interp.evaluate(d[1], env) if len(d) == 2 else NIL
-            frame.define(d[0].datum, value)
+            frame.vars[d[0].datum] = value
             continue
         raise _malformed(f"malformed let binding {binding!r}", binding)
     return interp.eval_body(items[2:], frame)
@@ -396,7 +433,7 @@ def _sf_defun(interp, form, env):
     name = name_form.datum
     fn = FunctionObject(name, parse_lambda_list(items[2]), items[3:], env,
                         lazy=False, dual=head is _DEFLAZY)
-    interp.global_env.define(name, fn)
+    interp.global_env.vars[name] = fn
     return name
 
 
@@ -408,7 +445,7 @@ def _sf_defparameter(interp, form, env):
     if not isinstance(name_form.datum, Symbol):
         raise _malformed("defparameter name must be a symbol", name_form)
     value = interp.evaluate(items[2], env)
-    interp.global_env.define(name_form.datum, value)
+    interp.global_env.vars[name_form.datum] = value
     return name_form.datum
 
 

@@ -36,10 +36,8 @@ class LambdaList:
         self.keys: list[Param] = keys
 
 
-def _bad(msg: str, form: Optional[Form]) -> EvalError:
-    line = form.line if form is not None else None
-    col = form.col if form is not None else None
-    return EvalError(msg, line, col, kind="malformed-lambda-list")
+def _bad(msg: str, form: Form) -> EvalError:
+    return EvalError(msg, form.line, form.col, kind="malformed-lambda-list")
 
 
 def _param_symbol(form: Form) -> Symbol:

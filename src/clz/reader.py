@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 
 from .errors import ReadError
-from .values import INT_MAX, INT_MIN, NIL, T, Cons, Keyword, Symbol
+from .values import INT_MAX, INT_MIN, NIL, T, Cons, Keyword, Symbol, print_value
 
 _STRING_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # the only escapes are \" and \\
 
@@ -59,9 +59,7 @@ class Form:
         self.col = col
 
     def __repr__(self):
-        if isinstance(self.datum, list):
-            return "(" + " ".join(repr(f) for f in self.datum) + ")"
-        return repr(self.datum)
+        return print_value(form_to_value(self))
 
 
 def read_source(text: str) -> list[Form]:

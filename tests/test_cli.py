@@ -205,6 +205,22 @@ class TestFlags:
         assert proc.returncode == 1
         assert "recursion" in proc.stderr
 
+    @pytest.mark.parametrize("flags, program, col", [
+        ([], "(defun down (n) (if (= n 0) 0 (funcall #'down (- n 1))))\n"
+             "(down 100000)", 21),
+        (["--memoize"],
+         "(deflazy chain (x n) (if (= n 0) x (lazy-call 'chain x (- n 1))))\n"
+         "(lazy-call 'chain 7 100000)", 26),
+    ])
+    def test_depth_guard_fires_before_the_host_limit(self, tmp_path, flags,
+                                                     program, col):
+        # funcall recursion, and a by-need chain of thunks over a symbol
+        path = script(tmp_path, program)
+        proc = run_clz("--recursion-limit", "3000", *flags, path)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"{path}:1:{col}: recursion-limit: "
+                               "recursion depth exceeded the limit of 3000\n")
+
     def test_deep_forcing_within_default_limits(self, tmp_path):
         # forcing 2000 stream cells nests evaluation deeply; the runner's
         # big-stack evaluation thread absorbs it

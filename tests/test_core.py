@@ -1,5 +1,7 @@
 """Evaluator: atoms, special forms, application, binding, budgets."""
 
+import sys
+
 import pytest
 
 from clz import (
@@ -282,6 +284,31 @@ class TestBudgets:
             interp.run("(stream-take (integers-from 0) 30000)")
         assert exc.value.kind == "recursion-limit"
         assert interp.run("(+ 1 1)") == 2
+
+    def test_interpreters_leave_the_host_recursion_limit_alone(self):
+        found = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            interp = Interpreter()
+            assert sys.getrecursionlimit() == 1000
+            interp.run("(stream-take (integers-from 0) 500)")
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(found)
+
+    @pytest.mark.parametrize("memoize, program, col", [
+        (False, "(defun down (n) (if (= n 0) 0 (funcall #'down (- n 1))))"
+                "(down 100000)", 21),
+        (True, "(deflazy chain (x n) (if (= n 0) x (lazy-call 'chain x (- n 1))))"
+               "(lazy-call 'chain 7 100000)", 26),
+    ])
+    def test_depth_guard_fires_before_the_host_limit(self, memoize, program, col):
+        # funcall recursion, and a by-need chain of thunks over a symbol
+        interp = Interpreter(memoize=memoize, recursion_limit=1000)
+        with pytest.raises(EvalError) as exc:
+            interp.run(program)
+        assert exc.value.message == "recursion depth exceeded the limit of 1000"
+        assert (exc.value.line, exc.value.col) == (1, col)
 
     def test_step_budget_resets_per_top_level_form(self):
         interp = Interpreter(step_limit=2000, prelude=False)

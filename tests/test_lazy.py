@@ -248,6 +248,13 @@ class TestLazyCall:
         assert interp.run("(lazy-call #'f 21)") == 42
         assert interp.run("(lazy-call #'f nil :y 42)") == 42
 
+    def test_computed_keyword_marker_is_forced(self, interp):
+        interp.run("(deflazy f (&key a b) b) (defparameter k :b)")
+        assert interp.run("(f k 1)") == 1
+        assert interp.run("(lazy-call 'f k 1)") == 1
+        # the value after a computed marker stays delayed
+        assert interp.run("(lazy-call 'f (car '(:a)) (diverge) :b 2)") == 2
+
     def test_keyword_default_stays_delayed(self, interp):
         interp.run("(deflazy f (x &key (y (diverge) ysp)) (if ysp y x))")
         assert interp.run("(lazy-call #'f 42)") == 42
@@ -458,6 +465,10 @@ def _binder_cases(draw):
     def arg():
         return draw(_ARG_FORMS)
 
+    def marker(keyword):
+        """A keyword marker, written as itself or as an expression."""
+        return draw(st.sampled_from([keyword, f"(car '({keyword}))"]))
+
     faults = []
     if required:
         faults.append("too-few")
@@ -477,7 +488,7 @@ def _binder_cases(draw):
     if filled == len(optional):
         if keys:
             for _ in range(draw(st.integers(0, 3))):
-                args += [draw(st.sampled_from(keys))[2], arg()]
+                args += [marker(draw(st.sampled_from(keys))[2]), arg()]
         elif rest:
             args += [arg() for _ in range(draw(st.integers(0, 2)))]
     kind = None
@@ -485,10 +496,10 @@ def _binder_cases(draw):
         args.append(arg())
         kind = "arity-mismatch"
     elif fault == "odd":
-        args.append(keys[0][2])
+        args.append(marker(keys[0][2]))
         kind = "odd-keyword-arguments"
     elif fault == "unknown":
-        args += [":nokey", arg()]
+        args += [marker(":nokey"), arg()]
         kind = "unknown-keyword-argument"
     elif fault == "not-a-keyword":
         args += [arg(), arg()]

@@ -220,6 +220,15 @@ class TestParse:
             Interpreter().run("(" * 20_000 + ")" * 20_000)
         assert exc.value.kind == "recursion-limit"
 
+    def test_deep_form_prints_in_an_error_message(self):
+        binding = "(" * 100_000 + ")" * 100_000
+        with pytest.raises(EvalError) as exc:
+            Interpreter(prelude=False).run(f"(let ({binding}) 1)")
+        assert exc.value.kind == "malformed-special-form"
+        assert (exc.value.line, exc.value.col) == (1, 7)
+        printed = "(" * 99_999 + "NIL" + ")" * 99_999
+        assert exc.value.message == f"malformed let binding {printed}"
+
 
 class TestFormToValue:
     def test_atom_passthrough(self):
