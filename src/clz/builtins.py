@@ -1,9 +1,9 @@
 """Primitive functions installed into every fresh global environment.
 
 Arithmetic is signed 64-bit with overflow checking; car/cdr of nil are
-nil; funcall refuses lazy-mode functions so the two calling conventions
-never silently cross. tick!/ticks expose the per-interpreter effect
-counter, and diverge is the testable stand-in for a non-terminating form.
+nil; funcall is a strict call, so it cannot enter a lazy-only function.
+tick!/ticks expose the per-interpreter effect counter, and diverge is
+the testable stand-in for a non-terminating form.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 An Interpreter owns a global environment, the effect/thunk counters, and
 the step and depth budgets. Laziness shows up here in exactly two places:
-symbol reads force the slots of a lazy frame, and apply/bind_lambda_list
-have a lazy mode that builds that frame.
+symbol reads force the slots of a lazy frame, and apply, which alone
+decides which calls may enter a function, has a lazy mode whose binder
+builds that frame.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import threading
 
 from . import builtins as _builtins
 from .errors import EvalError, LispError, StepLimitExceeded, _malformed
-from .lambdalist import LambdaList, Param, parse_lambda_list
+from .lambdalist import Param, parse_lambda_list
 from .lazy import delay, eval_delay, eval_lazify, eval_lazy_call, force
 from .prelude import PRELUDE_SOURCE
 from .reader import Form, form_to_value, read_source
@@ -117,7 +118,7 @@ class Interpreter:
         self._depth = 0
         _builtins.install(self)
         if prelude:
-            self.load_prelude()
+            self.run(PRELUDE_SOURCE)
 
     # ---------------------------------------------------------------- API
 
@@ -137,22 +138,21 @@ class Interpreter:
         self._steps = 0
         self._depth = 0
         found = sys.getrecursionlimit()
-        ceiling = vars(_sized).get("ceiling", _UNSIZED_CEILING)
+        sized = vars(_sized).get("ceiling")
+        ceiling = sized or _UNSIZED_CEILING
         if ceiling > found:
             sys.setrecursionlimit(ceiling)
         try:
             return self.evaluate(form, self.global_env)
         except RecursionError:
+            remedy = ("raise the recursion limit" if sized else
+                      "evaluate on a thread from clz.core.on_big_stack")
             raise EvalError(
                 "host recursion limit hit (deep nesting or forcing); "
-                "lower the program's depth or raise the recursion limit "
-                "via the command line",
+                f"lower the program's depth or {remedy}",
                 form.line, form.col, kind="recursion-limit") from None
         finally:
             sys.setrecursionlimit(found)
-
-    def load_prelude(self) -> None:
-        self.run(PRELUDE_SOURCE)
 
     # ---------------------------------------------------------- evaluator
 
@@ -211,19 +211,22 @@ class Interpreter:
     # -------------------------------------------------------- application
 
     def apply(self, fn, args: list, lazy: bool = False):
-        """Apply a function to its arguments.
+        """Apply a function to its arguments: the one place that decides
+        whether a value may be entered by a strict or a lazy call.
 
-        A strict call passes evaluated values and refuses a lazy-mode
-        function. A lazy call (from lazy-call) passes values and thunks:
-        parameters bind lazily, and a builtin gets its arguments forced.
-        An error raised here has no position; the evaluate call around
-        it gives it the calling form's.
+        A strict call passes evaluated values; a lazy call (from
+        lazy-call) passes values and thunks: parameters bind lazily, and
+        a builtin gets its arguments forced. An error raised here has no
+        position; the evaluate call around it gives it the calling form's.
         """
         kind = type(fn)
         if kind is not FunctionObject and kind is not BuiltinFunction:
             raise EvalError(f"{print_value(fn)} is not a function",
                             None, None, kind="not-a-function")
-        if fn.lazy and not lazy:
+        if not (fn.lazy if lazy else fn.strict):
+            if lazy:
+                raise EvalError(f"{_label(fn)} is strict and has no lazy version",
+                                None, None, kind="no-lazy-version")
             raise EvalError(
                 f"{print_value(fn)} has the lazy calling convention; "
                 "call it with lazy-call",
@@ -233,8 +236,7 @@ class Interpreter:
                 args = [force(self, a) for a in args]
             self._check_builtin_arity(fn, len(args))
             return fn.fn(self, args)
-        frame = self.bind_lambda_list(fn.lambda_list, args, lazy, fn.closure, fn)
-        return self.eval_body(fn.body, frame)
+        return self.eval_body(fn.body, self.bind_lambda_list(fn, args, lazy))
 
     def _check_builtin_arity(self, fn: BuiltinFunction, n: int):
         if n < fn.min_args or (fn.max_args is not None and n > fn.max_args):
@@ -250,9 +252,8 @@ class Interpreter:
 
     # ------------------------------------------------------------ binding
 
-    def bind_lambda_list(self, ll: LambdaList, args: list, lazy: bool,
-                         parent: Environment, fn=None) -> Environment:
-        """Build the call frame for ``args`` against ``ll``.
+    def bind_lambda_list(self, fn: FunctionObject, args: list, lazy: bool) -> Environment:
+        """Build the frame in which ``fn``'s body runs on ``args``.
 
         Strict mode: missing defaults evaluated eagerly, left to right,
         with earlier parameters visible. Lazy mode: the frame is lazy
@@ -261,7 +262,8 @@ class Interpreter:
         built so far; supplied-p slots hold t/nil; the rest slot is a list
         of raw arguments; keyword markers are forced, their values not.
         """
-        frame = Environment(parent, lazy)
+        ll = fn.lambda_list
+        frame = Environment(fn.closure, lazy)
         slots = frame.vars
         n = len(args)
         nreq = len(ll.required)
@@ -274,15 +276,15 @@ class Interpreter:
             slots[name] = args[i]
             i += 1
         for param in ll.optional:
-            self._bind_param(frame, param, args[i] if i < n else _MISSING, lazy)
+            self._bind_param(frame, param, args[i] if i < n else _MISSING)
             i += 1
         tail = args[i:]
         if ll.rest is not None:
             slots[ll.rest] = cons_list(tail)
         if ll.keys:
-            pairs = self._keyword_pairs(tail, ll, _label(fn), lazy)
+            pairs = self._keyword_pairs(frame, fn, tail)
             for param in ll.keys:
-                self._bind_param(frame, param, pairs.get(param.keyword, _MISSING), lazy)
+                self._bind_param(frame, param, pairs.get(param.keyword, _MISSING))
         elif tail and ll.rest is None:
             raise EvalError(
                 f"{_label(fn)} expected at most {len(ll.required) + len(ll.optional)} "
@@ -290,15 +292,16 @@ class Interpreter:
                 None, None, kind="arity-mismatch")
         return frame
 
-    def _keyword_pairs(self, tail: list, ll: LambdaList, label: str, lazy: bool) -> dict:
+    def _keyword_pairs(self, frame: Environment, fn: FunctionObject, tail: list) -> dict:
+        label = _label(fn)
         if len(tail) % 2 != 0:
             raise EvalError(
                 f"{label} received an odd number of keyword arguments",
                 None, None, kind="odd-keyword-arguments")
-        known = {key.keyword for key in ll.keys}
+        known = {key.keyword for key in fn.lambda_list.keys}
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
-            if lazy:
+            if frame.lazy:
                 marker = force(self, marker)
             if not isinstance(marker, Keyword):
                 raise EvalError(
@@ -312,18 +315,18 @@ class Interpreter:
                 pairs[marker] = value
         return pairs
 
-    def _bind_param(self, frame: Environment, param: Param, value, lazy: bool):
+    def _bind_param(self, frame: Environment, param: Param, value):
         """Bind an &optional or &key parameter, and its supplied-p flag.
 
         A ``value`` of _MISSING means no argument was given: the default
-        is evaluated now in strict mode, thunked in lazy mode.
+        is evaluated now in a strict frame, thunked in a lazy one.
         """
         supplied = T
         if value is _MISSING:
             supplied = NIL
             if param.default is None:
                 value = NIL
-            elif lazy:
+            elif frame.lazy:
                 value = delay(self, param.default, frame)
             else:
                 value = self.evaluate(param.default, frame)
@@ -333,10 +336,8 @@ class Interpreter:
 
 
 def _label(fn) -> str:
-    """How arity and keyword errors name the function being bound."""
-    if fn is not None and fn.name is not None:
-        return fn.name.name
-    return "anonymous function"
+    """How call, arity and keyword errors name a function."""
+    return fn.name.name if fn.name is not None else "anonymous function"
 
 
 # ------------------------------------------------------------ special forms
@@ -394,8 +395,7 @@ def _sf_lambda(interp, form, env) -> FunctionObject:
     items = form.datum
     if len(items) < 2:
         raise _malformed("lambda needs a lambda list", form)
-    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env,
-                          lazy=False)
+    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env)
 
 
 def _sf_function(interp, form, env):
@@ -418,8 +418,8 @@ def _sf_function(interp, form, env):
 def _sf_defun(interp, form, env):
     """(defun name (params...) body...) or (deflazy ...) -> name
 
-    Both install one strict function object as the name's global binding.
-    deflazy marks it dual, so lazy-call can also enter it lazily; a later
+    Both install one function object as the name's global binding that a
+    strict call may enter; deflazy's lazy-call may enter too. A later
     defun of the name replaces the object, and with it the lazy face.
     """
     items = form.datum
@@ -432,7 +432,7 @@ def _sf_defun(interp, form, env):
         raise _malformed(f"{head.name.lower()} name must be a symbol", name_form)
     name = name_form.datum
     fn = FunctionObject(name, parse_lambda_list(items[2]), items[3:], env,
-                        lazy=False, dual=head is _DEFLAZY)
+                        lazy=head is _DEFLAZY)
     interp.global_env.vars[name] = fn
     return name
 

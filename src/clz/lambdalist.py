@@ -110,10 +110,8 @@ def parse_lambda_list(form: Form) -> LambdaList:
             required.append(name)
         elif section == SECTION_OPTIONAL:
             optional.append(_parse_param(item, claim, keyed=False))
-        elif section == SECTION_KEY:
+        else:  # SECTION_KEY: only &key may follow the &rest parameter
             keys.append(_parse_param(item, claim, keyed=True))
-        else:
-            raise _bad("parameter after the &rest section", item)
         i += 1
 
     return LambdaList(required, optional, rest, keys)

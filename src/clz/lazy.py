@@ -1,13 +1,15 @@
 """Lazy calling convention: thunks, lazy-call, lazy, delay.
 
-A function defined with ``deflazy`` is one function object with two
-faces: ordinary calls run it strictly, and ``lazy-call`` enters the same
-object lazily. ``lazy-call`` passes constants through and wraps every
-other argument form as a thunk; the body then forces a parameter only
-when it actually reads it.
+A function defined with ``deflazy`` is one function object that both
+kinds of call may enter, as Interpreter.apply decides: ordinary calls
+run it strictly, and ``lazy-call`` enters it lazily, passing constants
+through and wrapping every other argument form as a thunk that the body
+forces only when it actually reads the parameter.
 """
 
 from __future__ import annotations
+
+import copy
 
 from .errors import EvalError, _malformed
 from .reader import Form
@@ -76,76 +78,52 @@ def constant_p(form: Form) -> bool:
     return not isinstance(datum, Symbol)
 
 
-def lazy_callee(interp, op, form: Form) -> "FunctionObject | BuiltinFunction":
-    """Find the function lazy-call enters for the operator value ``op``.
-
-    A symbol means its current global binding, looked up as funcall does.
-    A lazy function, or a dual one made by deflazy, is entered lazily as
-    it is; any other function has no lazy version.
-    """
-    if isinstance(op, Symbol):
-        try:
-            op = interp.lookup(op, interp.global_env)
-        except EvalError:
-            raise EvalError(f"{op.name} has no lazy version (define it with deflazy)",
-                            form.line, form.col, kind="no-lazy-version") from None
-    if isinstance(op, FunctionObject):
-        if op.lazy or op.dual:
-            return op
-        label = op.name.name if op.name is not None else "anonymous function"
-        raise EvalError(f"{label} is strict and has no lazy version",
-                        form.line, form.col, kind="no-lazy-version")
-    if isinstance(op, BuiltinFunction):
-        if op.lazy:
-            return op
-        raise EvalError(f"builtin {op.name} has no lazy version",
-                        form.line, form.col, kind="no-lazy-version")
-    raise EvalError(f"{print_value(op)} is not a function",
-                    form.line, form.col, kind="not-a-function")
-
-
 def eval_lazy_call(interp, form: Form, env):
     """(lazy-call OP ARGS...) -> apply OP lazily to thunked args.
 
-    The operator expression is evaluated strictly. Constant argument
+    The operator expression is evaluated strictly; a symbol means its
+    current global binding, looked up as funcall does. Constant argument
     forms (and keyword markers, which are constants) pass through as
     values; everything else becomes a thunk over the unevaluated form.
+    Whether the operator may be entered lazily is apply's to decide.
     """
     items = form.datum
     if len(items) < 2:
         raise _malformed("lazy-call needs an operator", form)
     op = interp.evaluate(items[1], env)
-    fn = lazy_callee(interp, op, items[1])
+    if type(op) is Symbol:
+        try:
+            op = interp.lookup(op, interp.global_env)
+        except EvalError:
+            raise EvalError(f"{op.name} has no lazy version (define it with deflazy)",
+                            None, None, kind="no-lazy-version") from None
     args = []
     for arg_form in items[2:]:
         if constant_p(arg_form):
             args.append(interp.evaluate(arg_form, env))
         else:
             args.append(delay(interp, arg_form, env))
-    return interp.apply(fn, args, lazy=True)
+    return interp.apply(op, args, lazy=True)
 
 
 def eval_lazify(interp, form: Form, env):
-    """(lazy EXPR) -> a lazy-mode function value.
+    """(lazy EXPR) -> a function that only lazy-call may enter.
 
-    EXPR is evaluated: a lazy function passes through, a strict one
-    (deflazy's and a fresh lambda's included) is re-wrapped as lazy over
-    the same lambda list, body and closure, and a builtin gets a
-    force-all-arguments wrapper.
+    EXPR is evaluated. A function that a strict call may enter (defun's,
+    deflazy's, a lambda's, a builtin) is copied as lazy-only; any other
+    function, already lazy-only, passes through.
     """
     items = form.datum
     if len(items) != 2:
         raise _malformed("lazy takes exactly one expression", form)
     value = interp.evaluate(items[1], env)
-    if isinstance(value, (FunctionObject, BuiltinFunction)) and value.lazy:
-        return value
-    if isinstance(value, FunctionObject):
-        return FunctionObject(value.name, value.lambda_list, value.body,
-                              value.closure, lazy=True)
-    if isinstance(value, BuiltinFunction):
-        return value.lazified()
-    raise EvalError(f"{print_value(value)} is not a function",
-                    items[1].line, items[1].col, kind="not-a-function")
+    if type(value) is not FunctionObject and type(value) is not BuiltinFunction:
+        raise EvalError(f"{print_value(value)} is not a function",
+                        items[1].line, items[1].col, kind="not-a-function")
+    if value.strict:
+        value = copy.copy(value)
+        value.strict, value.lazy = False, True
+    return value
 
 
 def eval_delay(interp, form: Form, env) -> Thunk:

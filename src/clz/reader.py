@@ -59,7 +59,9 @@ class Form:
         self.col = col
 
     def __repr__(self):
-        return print_value(form_to_value(self))
+        """The printed form, cut to 80 characters for diagnostics."""
+        text = print_value(form_to_value(self))
+        return text if len(text) <= 80 else text[:77] + "..."
 
 
 def read_source(text: str) -> list[Form]:

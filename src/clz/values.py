@@ -112,43 +112,40 @@ class Thunk:
 
 
 class FunctionObject:
-    """Interpreted function: lambda list + body + closure, strict or lazy.
+    """Interpreted function: lambda list + body + closure.
 
-    The mode is fixed at construction. A lazy-mode function can only be
-    entered through the lazy call path; the strict path rejects it. A
-    ``dual`` function (made by deflazy) is strict to ordinary calls and
-    is also entered lazily, as it is, by lazy-call.
+    ``strict`` says a strict call (call position, funcall) may enter it,
+    ``lazy`` that lazy-call may. defun and lambda make strict-only
+    functions, deflazy one that is both, and (lazy X) a lazy-only copy.
+    Interpreter.apply alone reads the two flags.
     """
 
-    __slots__ = ("name", "lambda_list", "body", "closure", "lazy", "dual")
+    __slots__ = ("name", "lambda_list", "body", "closure", "strict", "lazy")
 
-    def __init__(self, name, lambda_list, body, closure, lazy: bool,
-                 dual: bool = False):
+    def __init__(self, name, lambda_list, body, closure, lazy: bool = False):
         self.name = name
         self.lambda_list = lambda_list
         self.body = body
         self.closure = closure
+        self.strict = True
         self.lazy = lazy
-        self.dual = dual
 
     def __repr__(self):
         return print_value(self)
 
 
 class BuiltinFunction:
-    """Native primitive. ``fn`` takes (interpreter, args) and returns a value."""
+    """Native primitive: ``fn`` takes (interpreter, args). Built strict-only."""
 
-    __slots__ = ("name", "fn", "min_args", "max_args", "lazy")
+    __slots__ = ("name", "fn", "min_args", "max_args", "strict", "lazy")
 
-    def __init__(self, name, fn, min_args: int, max_args: int | None, lazy: bool = False):
+    def __init__(self, name, fn, min_args: int, max_args: int | None):
         self.name = name
         self.fn = fn
         self.min_args = min_args
         self.max_args = max_args
-        self.lazy = lazy
-
-    def lazified(self) -> "BuiltinFunction":
-        return BuiltinFunction(self.name, self.fn, self.min_args, self.max_args, lazy=True)
+        self.strict = True
+        self.lazy = False
 
     def __repr__(self):
         return print_value(self)

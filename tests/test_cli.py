@@ -130,6 +130,15 @@ class TestRunFile:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"{path}:1:10001: recursion-limit:")
 
+    def test_deep_form_in_a_diagnostic_is_cut_short(self, tmp_path):
+        binding = "(" * 100_000 + ")" * 100_000
+        path = script(tmp_path, f"(let ({binding}) 1)\n")
+        proc = run_clz(path)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert len(proc.stderr) < len(path) + 150
+        assert "malformed-special-form: malformed let binding (((" in proc.stderr
+
     def test_missing_file_exits_two(self, tmp_path):
         proc = run_clz(str(tmp_path / "absent.lisp"))
         assert proc.returncode == 2

@@ -16,6 +16,7 @@ from clz import (
     Symbol,
     T,
 )
+from clz.core import on_big_stack
 from tests.conftest import to_py
 
 
@@ -284,6 +285,30 @@ class TestBudgets:
             interp.run("(stream-take (integers-from 0) 30000)")
         assert exc.value.kind == "recursion-limit"
         assert interp.run("(+ 1 1)") == 2
+
+    def test_host_limit_on_an_unsized_thread_names_on_big_stack(self):
+        # the recursion limit cannot raise the ceiling of a thread clz did
+        # not size, so the message must not advise raising it
+        interp = Interpreter(recursion_limit=100_000)
+        with pytest.raises(EvalError) as exc:
+            interp.run("(stream-take (integers-from 0) 3000)")
+        assert exc.value.kind == "recursion-limit"
+        assert "clz.core.on_big_stack" in exc.value.message
+
+    def test_host_limit_on_a_sized_thread_names_the_recursion_limit(self):
+        # a chain of thunks over a symbol, each in the lazy frame of the
+        # one before, built across top-level forms: forcing its end nests
+        # three host frames per link, none of which the depth guard counts
+        interp = Interpreter(recursion_limit=10, prelude=False)
+        interp.run("(deflazy link (x) (lambda (k) (if k x (lazy-call 'link x))))")
+        interp.run("(defparameter f (lazy-call 'link 0))")
+        for _ in range(2500):
+            interp.run("(defparameter f (funcall f nil))")
+        with pytest.raises(EvalError) as exc:
+            on_big_stack(10, lambda: interp.run("(funcall f t)"))
+        assert exc.value.kind == "recursion-limit"
+        assert "raise the recursion limit" in exc.value.message
+        assert on_big_stack(10_000, lambda: interp.run("(funcall f t)")) == 0
 
     def test_interpreters_leave_the_host_recursion_limit_alone(self):
         found = sys.getrecursionlimit()

@@ -128,8 +128,8 @@ class TestDeflazy:
     def test_deflazy_installs_one_dual_function(self, interp):
         interp.run("(deflazy k (x y) x)")
         fn = interp.run("#'k")
-        assert isinstance(fn, FunctionObject) and fn.dual and not fn.lazy
-        assert interp.run("(lazy (lambda (x) x))").dual is False
+        assert isinstance(fn, FunctionObject) and fn.strict and fn.lazy
+        assert not interp.run("(lazy (lambda (x) x))").strict
 
     def test_lazy_face_belongs_to_the_function_value(self, interp):
         # a captured function value keeps its own body, strict and lazy,
@@ -373,6 +373,39 @@ class TestLazyOperator:
         with pytest.raises(EvalError) as exc:
             interp.run("(lazy 'si)")
         assert exc.value.kind == "not-a-function"
+
+
+# Each kind of value, called in call position, through funcall and through
+# lazy-call: the printed value, or the error kind. Every operator error is
+# reported at the call form.
+_CALL_MATRIX = {
+    "#'plain": ("(1 2)", "(1 2)", "no-lazy-version"),
+    "(lambda (x y) (list x y))": ("(1 2)", "(1 2)", "no-lazy-version"),
+    "#'dual": ("(1 2)", "(1 2)", "(1 2)"),
+    "(lazy #'plain)": ("lazy-through-strict", "lazy-through-strict", "(1 2)"),
+    "#'cons": ("(1 . 2)", "(1 . 2)", "no-lazy-version"),
+    "(lazy #'cons)": ("lazy-through-strict", "lazy-through-strict", "(1 . 2)"),
+    "5": ("not-a-function", "not-a-function", "not-a-function"),
+    "'never-defined": ("not-a-function", "unbound-symbol", "no-lazy-version"),
+}
+
+
+class TestCallProtocol:
+    @pytest.mark.parametrize("value", list(_CALL_MATRIX))
+    @pytest.mark.parametrize("call", range(3), ids=["call", "funcall", "lazy-call"])
+    def test_who_may_enter_each_value(self, interp, value, call):
+        interp.run("(defun plain (x y) (list x y))")
+        interp.run("(deflazy dual (x y) (list x y))")
+        interp.run(f"(defparameter v {value})")
+        source = ["(v 1 2)", "(funcall v 1 2)", "(lazy-call v 1 2)"][call]
+        expected = _CALL_MATRIX[value][call]
+        if expected.startswith("("):
+            assert print_value(interp.run(source)) == expected
+            return
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert exc.value.kind == expected
+        assert (exc.value.line, exc.value.col) == (1, 1)
 
 
 class TestModesAgree:

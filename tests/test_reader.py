@@ -226,8 +226,7 @@ class TestParse:
             Interpreter(prelude=False).run(f"(let ({binding}) 1)")
         assert exc.value.kind == "malformed-special-form"
         assert (exc.value.line, exc.value.col) == (1, 7)
-        printed = "(" * 99_999 + "NIL" + ")" * 99_999
-        assert exc.value.message == f"malformed let binding {printed}"
+        assert exc.value.message == "malformed let binding " + "(" * 77 + "..."
 
 
 class TestFormToValue:
