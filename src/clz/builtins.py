@@ -140,7 +140,7 @@ def _bi_ticks(interp, args):
 
 
 def _bi_print(interp, args):
-    interp.stdout.write(print_value(args[0]) + "\n")
+    print(print_value(args[0]))
     return args[0]
 
 

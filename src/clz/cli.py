@@ -118,9 +118,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
-            print(f"clz: cannot read {args.file}: {err.strerror}",
-                  file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as err:
+            reason = err.strerror if isinstance(err, OSError) else err
+            print(f"clz: cannot read {args.file}: {reason}", file=sys.stderr)
             return 2
         return _run_text(interp, text, args.file, echo=False)
     if args.eval_text is not None:

@@ -36,9 +36,10 @@ from .values import (
 # on_big_stack starts gets a ceiling of 24 frames per unit plus 5,000, and
 # 2 KB of stack per frame of it, within 512 MB to 2 GB. The surplus covers
 # thunk-over-symbol chains built across top-level forms, which the depth
-# guard does not count. Any other thread keeps its stack, so its ceiling is
-# 12,000: one of 245,000 segfaults an 8 MB main thread.
-_FRAMES_PER_DEPTH, _BYTES_PER_FRAME = 24, 2048
+# guard does not count. The ceiling stops at 2**31 - 1, the most that
+# sys.setrecursionlimit takes. Any other thread keeps its stack, so its
+# ceiling is 12,000: one of 245,000 segfaults an 8 MB main thread.
+_FRAMES_PER_DEPTH, _BYTES_PER_FRAME, _MAX_CEILING = 24, 2048, 2**31 - 1
 _MIN_STACK, _MAX_STACK, _UNSIZED_CEILING = 512 << 20, 2 << 30, 12_000
 _sized = threading.local()  # .ceiling is set on threads on_big_stack starts
 
@@ -46,7 +47,7 @@ _sized = threading.local()  # .ceiling is set on threads on_big_stack starts
 def on_big_stack(recursion_limit: int, fn):
     """Return or raise what ``fn()`` does on a new thread sized for
     ``recursion_limit``, whose top-level forms get the full host ceiling."""
-    ceiling = recursion_limit * _FRAMES_PER_DEPTH + 5000
+    ceiling = min(recursion_limit * _FRAMES_PER_DEPTH + 5000, _MAX_CEILING)
     outcome: dict = {}
 
     def work():
@@ -97,12 +98,12 @@ class Interpreter:
     ``memoize`` selects call-by-need thunks instead of the default
     call-by-name. ``step_limit`` bounds evaluator steps plus loop
     iterations per top-level form; ``recursion_limit`` bounds nested
-    list-form evaluations.
+    list-form evaluations. ``print`` writes to ``sys.stdout`` as it is
+    when called.
     """
 
     def __init__(self, memoize: bool = False, step_limit: int = 10_000_000,
-                 recursion_limit: int = 10_000, prelude: bool = True,
-                 stdout=None):
+                 recursion_limit: int = 10_000, prelude: bool = True):
         if step_limit <= 0:
             raise ValueError("step_limit must be positive")
         if recursion_limit <= 0:
@@ -110,7 +111,6 @@ class Interpreter:
         self.memoize = memoize
         self.step_limit = step_limit
         self.recursion_limit = recursion_limit
-        self.stdout = stdout if stdout is not None else sys.stdout
         self.global_env = Environment()
         self.tick_count = 0
         self.thunk_allocations = 0
@@ -175,9 +175,12 @@ class Interpreter:
                     form.line, form.col, kind="recursion-limit")
             head = datum[0].datum
             if type(head) is Symbol:
-                handler = _SPECIAL_FORMS.get(head)
-                if handler is not None:
-                    return handler(self, form, env)
+                special = _SPECIAL_FORMS.get(head)
+                if special is not None:
+                    handler, fewest, most, message = special
+                    if fewest <= len(datum) <= most:
+                        return handler(self, form, env)
+                    raise _malformed(message, form)
             fn = self.evaluate(datum[0], env)
             args = [self.evaluate(arg, env) for arg in datum[1:]]
             return self.apply(fn, args)
@@ -343,16 +346,11 @@ def _label(fn) -> str:
 # ------------------------------------------------------------ special forms
 
 def _sf_quote(interp, form, env):
-    items = form.datum
-    if len(items) != 2:
-        raise _malformed("quote takes exactly one form", form)
-    return form_to_value(items[1])
+    return form_to_value(form.datum[1])
 
 
 def _sf_if(interp, form, env):
     items = form.datum
-    if len(items) not in (3, 4):
-        raise _malformed("if takes a condition, a then-form, and an optional else-form", form)
     if interp.evaluate(items[1], env) is not NIL:
         return interp.evaluate(items[2], env)
     if len(items) == 4:
@@ -366,8 +364,6 @@ def _sf_progn(interp, form, env):
 
 def _sf_let(interp, form, env):
     items = form.datum
-    if len(items) < 2:
-        raise _malformed("let needs a binding list", form)
     bindings_form = items[1]
     if bindings_form.datum is NIL:
         bindings = []
@@ -393,16 +389,11 @@ def _sf_let(interp, form, env):
 def _sf_lambda(interp, form, env) -> FunctionObject:
     """(lambda (params...) body...) -> a strict closure over ``env``."""
     items = form.datum
-    if len(items) < 2:
-        raise _malformed("lambda needs a lambda list", form)
     return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env)
 
 
 def _sf_function(interp, form, env):
-    items = form.datum
-    if len(items) != 2:
-        raise _malformed("function takes exactly one name or lambda form", form)
-    target = items[1]
+    target = form.datum[1]
     d = target.datum
     if isinstance(d, Symbol):
         value = interp.lookup(d, env, target)
@@ -411,7 +402,11 @@ def _sf_function(interp, form, env):
         raise EvalError(f"{d.name} does not name a function",
                         target.line, target.col, kind="not-a-function")
     if isinstance(d, list) and d and d[0].datum is _LAMBDA:
-        return _sf_lambda(interp, target, env)
+        # #'(lambda ...) is not evaluated, so check its shape here
+        _, fewest, most, message = _SPECIAL_FORMS[_LAMBDA]
+        if fewest <= len(d) <= most:
+            return _sf_lambda(interp, target, env)
+        raise _malformed(message, target)
     raise _malformed("function expects a symbol or a lambda form", target)
 
 
@@ -424,9 +419,6 @@ def _sf_defun(interp, form, env):
     """
     items = form.datum
     head = items[0].datum
-    if len(items) < 3:
-        raise _malformed(f"{head.name.lower()} needs a name, a lambda list, "
-                         "and a body", form)
     name_form = items[1]
     if not isinstance(name_form.datum, Symbol):
         raise _malformed(f"{head.name.lower()} name must be a symbol", name_form)
@@ -439,8 +431,6 @@ def _sf_defun(interp, form, env):
 
 def _sf_defparameter(interp, form, env):
     items = form.datum
-    if len(items) != 3:
-        raise _malformed("defparameter takes a name and one value form", form)
     name_form = items[1]
     if not isinstance(name_form.datum, Symbol):
         raise _malformed("defparameter name must be a symbol", name_form)
@@ -451,8 +441,6 @@ def _sf_defparameter(interp, form, env):
 
 def _sf_ecase(interp, form, env):
     items = form.datum
-    if len(items) < 2:
-        raise _malformed("ecase needs a key form", form)
     key = interp.evaluate(items[1], env)
     for clause in items[2:]:
         d = clause.datum
@@ -468,9 +456,6 @@ def _sf_ecase(interp, form, env):
 
 
 def _sf_loop(interp, form, env):
-    items = form.datum
-    if len(items) != 1:
-        raise _malformed("only the empty (loop) form is supported", form)
     while True:
         interp._steps += 1
         if interp._steps > interp.step_limit:
@@ -481,20 +466,29 @@ def _sf_loop(interp, form, env):
 
 _DEFLAZY = Symbol.intern("DEFLAZY")
 _LAMBDA = Symbol.intern("LAMBDA")
+_ANY = sys.maxsize  # no upper bound on a form's item count
 
+# Each special form's handler and shape: the fewest and the most items
+# its list may have, head included, and the malformed-special-form
+# message for any other count. evaluate checks the count before it
+# dispatches, so a handler may index every item its shape guarantees.
 _SPECIAL_FORMS = {
-    Symbol.intern("QUOTE"): _sf_quote,
-    Symbol.intern("IF"): _sf_if,
-    Symbol.intern("PROGN"): _sf_progn,
-    Symbol.intern("LET"): _sf_let,
-    _LAMBDA: _sf_lambda,
-    Symbol.intern("FUNCTION"): _sf_function,
-    Symbol.intern("DEFUN"): _sf_defun,
-    Symbol.intern("DEFPARAMETER"): _sf_defparameter,
-    Symbol.intern("ECASE"): _sf_ecase,
-    Symbol.intern("LOOP"): _sf_loop,
-    _DEFLAZY: _sf_defun,
-    Symbol.intern("LAZY-CALL"): eval_lazy_call,
-    Symbol.intern("LAZY"): eval_lazify,
-    Symbol.intern("DELAY"): eval_delay,
+    Symbol.intern("QUOTE"): (_sf_quote, 2, 2, "quote takes exactly one form"),
+    Symbol.intern("IF"): (_sf_if, 3, 4, "if takes a condition, a then-form, "
+                          "and an optional else-form"),
+    Symbol.intern("PROGN"): (_sf_progn, 1, _ANY, None),
+    Symbol.intern("LET"): (_sf_let, 2, _ANY, "let needs a binding list"),
+    _LAMBDA: (_sf_lambda, 2, _ANY, "lambda needs a lambda list"),
+    Symbol.intern("FUNCTION"): (_sf_function, 2, 2,
+                                "function takes exactly one name or lambda form"),
+    Symbol.intern("DEFUN"): (_sf_defun, 3, _ANY,
+                             "defun needs a name, a lambda list, and a body"),
+    Symbol.intern("DEFPARAMETER"): (_sf_defparameter, 3, 3,
+                                    "defparameter takes a name and one value form"),
+    Symbol.intern("ECASE"): (_sf_ecase, 2, _ANY, "ecase needs a key form"),
+    Symbol.intern("LOOP"): (_sf_loop, 1, 1, "only the empty (loop) form is supported"),
+    _DEFLAZY: (_sf_defun, 3, _ANY, "deflazy needs a name, a lambda list, and a body"),
+    Symbol.intern("LAZY-CALL"): (eval_lazy_call, 2, _ANY, "lazy-call needs an operator"),
+    Symbol.intern("LAZY"): (eval_lazify, 2, 2, "lazy takes exactly one expression"),
+    Symbol.intern("DELAY"): (eval_delay, 2, 2, "delay takes exactly one expression"),
 }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 
-from .errors import EvalError, _malformed
+from .errors import EvalError
 from .reader import Form
 from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, print_value
 
@@ -88,8 +88,6 @@ def eval_lazy_call(interp, form: Form, env):
     Whether the operator may be entered lazily is apply's to decide.
     """
     items = form.datum
-    if len(items) < 2:
-        raise _malformed("lazy-call needs an operator", form)
     op = interp.evaluate(items[1], env)
     if type(op) is Symbol:
         try:
@@ -114,8 +112,6 @@ def eval_lazify(interp, form: Form, env):
     function, already lazy-only, passes through.
     """
     items = form.datum
-    if len(items) != 2:
-        raise _malformed("lazy takes exactly one expression", form)
     value = interp.evaluate(items[1], env)
     if type(value) is not FunctionObject and type(value) is not BuiltinFunction:
         raise EvalError(f"{print_value(value)} is not a function",
@@ -128,7 +124,4 @@ def eval_lazify(interp, form: Form, env):
 
 def eval_delay(interp, form: Form, env) -> Thunk:
     """(delay EXPR) -> #<thunk> capturing EXPR and the current environment."""
-    items = form.datum
-    if len(items) != 2:
-        raise _malformed("delay takes exactly one expression", form)
-    return delay(interp, items[1], env)
+    return delay(interp, form.datum[1], env)

@@ -144,6 +144,15 @@ class TestRunFile:
         assert proc.returncode == 2
         assert "cannot read" in proc.stderr
 
+    def test_non_utf8_script_exits_two(self, tmp_path):
+        path = tmp_path / "bad.lisp"
+        path.write_bytes(b"(print 1)\n\xff\xfe\n")
+        proc = run_clz(str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"clz: cannot read {path}: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_step_limit_exits_three(self, tmp_path):
         path = script(tmp_path, "(loop)\n")
         proc = run_clz("--step-limit", "1000", path)
@@ -240,6 +249,13 @@ class TestFlags:
         proc = run_clz(path)
         assert proc.returncode == 0
         assert proc.stdout == "2000\n"
+
+    def test_huge_recursion_limit_is_accepted(self):
+        # 24 host frames per unit would pass the largest C int
+        proc = run_clz("--recursion-limit", "100000000", "--eval", "(+ 1 2)")
+        assert proc.returncode == 0
+        assert proc.stdout == "3\n"
+        assert proc.stderr == ""
 
     def test_raised_recursion_limit_reaches_deeper(self, tmp_path):
         path = script(tmp_path, """

@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clz import (
     NIL,
@@ -15,6 +17,7 @@ from clz import (
     StepLimitExceeded,
     Symbol,
     T,
+    print_value,
 )
 from clz.core import on_big_stack
 from tests.conftest import to_py
@@ -152,6 +155,82 @@ class TestSpecialForms:
         interp = Interpreter(step_limit=1000, prelude=False)
         with pytest.raises(StepLimitExceeded):
             interp.run("(loop)")
+
+
+_IF_SHAPE = "if takes a condition, a then-form, and an optional else-form"
+_FUNCTION_SHAPE = "function takes exactly one name or lambda form"
+_DEFPARAMETER_SHAPE = "defparameter takes a name and one value form"
+
+# One form of each head with too few items and, where the head has a
+# most, one with too many. progn takes any number of forms, and no list
+# is shorter than (loop).
+_BAD_SHAPES = [
+    ("(quote)", "quote takes exactly one form"),
+    ("(quote a b)", "quote takes exactly one form"),
+    ("(if t)", _IF_SHAPE),
+    ("(if t 1 2 3)", _IF_SHAPE),
+    ("(let)", "let needs a binding list"),
+    ("(lambda)", "lambda needs a lambda list"),
+    ("(function)", _FUNCTION_SHAPE),
+    ("(function car cdr)", _FUNCTION_SHAPE),
+    ("(defun f)", "defun needs a name, a lambda list, and a body"),
+    ("(deflazy f)", "deflazy needs a name, a lambda list, and a body"),
+    ("(defparameter x)", _DEFPARAMETER_SHAPE),
+    ("(defparameter x 1 2)", _DEFPARAMETER_SHAPE),
+    ("(ecase)", "ecase needs a key form"),
+    ("(loop 1)", "only the empty (loop) form is supported"),
+    ("(lazy-call)", "lazy-call needs an operator"),
+    ("(lazy)", "lazy takes exactly one expression"),
+    ("(lazy car cdr)", "lazy takes exactly one expression"),
+    ("(delay)", "delay takes exactly one expression"),
+    ("(delay 1 2)", "delay takes exactly one expression"),
+]
+
+_HEADS = ["quote", "if", "progn", "let", "lambda", "function", "defun",
+          "deflazy", "defparameter", "ecase", "loop", "lazy-call", "lazy",
+          "delay"]
+_OPERANDS = ["x", "1", '"s"', ":k", "nil", "t", "'a", "()", "(x)", "(1 2)",
+             "((x 1))", "(x &optional (y 2))", "(&rest)", "(a 1)", "(car 1)",
+             "#'car", "#'(lambda)", "(lambda)", "(lambda (x) x)", "(loop)",
+             "(diverge)"]
+
+
+def _special_form(operands):
+    return st.builds(lambda head, ops: f"({' '.join([head, *ops])})",
+                     st.sampled_from(_HEADS), st.lists(operands, max_size=4))
+
+
+class TestSpecialFormShapes:
+    def _malformed(self, interp, source):
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert exc.value.kind == "malformed-special-form"
+        return exc.value.message, exc.value.where()
+
+    @pytest.mark.parametrize("source, message", _BAD_SHAPES)
+    def test_bad_item_count(self, interp, source, message):
+        assert self._malformed(interp, source) == (message, "1:1")
+        assert self._malformed(interp, f"(progn 1 {source})") == (message, "1:10")
+
+    def test_unevaluated_lambda_in_function_is_checked(self, interp):
+        message = "lambda needs a lambda list"
+        assert self._malformed(interp, "#'(lambda)") == (message, "1:3")
+        assert self._malformed(interp, "(function (lambda))") == (message, "1:11")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_special_form(st.sampled_from(_OPERANDS)
+                         | _special_form(st.sampled_from(_OPERANDS))),
+           st.booleans(), st.booleans())
+    def test_any_item_count_returns_or_raises_lisp_error(self, source, lazy, memoize):
+        interp = Interpreter(memoize=memoize, step_limit=10_000, prelude=False)
+        if lazy:
+            interp.run("(deflazy f (&optional a b) (list a b))")
+            source = f"(lazy-call 'f {source} 2)"
+        try:
+            value = interp.run(source)
+        except LispError:
+            return
+        assert isinstance(print_value(value), str)
 
 
 class TestApplication:

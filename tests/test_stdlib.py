@@ -1,7 +1,5 @@
 """Primitives, instrumentation counters, and the lazy stream library."""
 
-import io
-
 import pytest
 
 from clz import (
@@ -127,18 +125,14 @@ class TestInstrumentation:
         with pytest.raises(DivergenceError):
             interp.run("(diverge)")
 
-    def test_print_writes_value_and_newline(self):
-        out = io.StringIO()
-        interp = Interpreter(stdout=out)
+    def test_print_writes_value_and_newline(self, interp, capsys):
         result = interp.run("(print (list 1 2))")
-        assert out.getvalue() == "(1 2)\n"
+        assert capsys.readouterr().out == "(1 2)\n"
         assert to_py(result) == [1, 2]
 
-    def test_print_returns_its_value_through(self):
-        out = io.StringIO()
-        interp = Interpreter(stdout=out)
+    def test_print_returns_its_value_through(self, interp, capsys):
         assert interp.run("(+ 1 (print 2))") == 3
-        assert out.getvalue() == "2\n"
+        assert capsys.readouterr().out == "2\n"
 
 
 class TestStreams:
