@@ -2,7 +2,7 @@
 
 An Interpreter owns a global environment, the effect/thunk counters, and
 the step and depth budgets. Laziness shows up here in exactly two places:
-symbol reads force the slots of a lazy frame, and apply, which alone
+symbol reads force the thunks in a lazy frame's slots, and apply, which alone
 decides which calls may enter a function, has a lazy mode whose binder
 builds that frame.
 """
@@ -25,14 +25,16 @@ from .values import (
     FunctionObject,
     Keyword,
     Symbol,
+    Thunk,
     cons_list,
     print_value,
 )
 
 # The host stack: forcing nests evaluation on it. Host frames per unit of
-# the depth guard, measured on Python 3.11: 2.5 in strict recursion, 2.67
-# through let/progn/ecase, 3.0 through lazy-call, 3.5 through funcall, at
-# most 4.5 where a lazy frame reads a thunk over a symbol. A thread that
+# the depth guard, measured on Python 3.11 with a frame-counting builtin:
+# 2.0 in strict recursion, 2.6 through let/progn/ecase, 2.5 through
+# lazy-call, 3.0 through funcall, at most 4.0 where a lazy frame reads a
+# thunk over a symbol; a stream-take element costs 5. A thread that
 # on_big_stack starts gets a ceiling of 24 frames per unit plus 5,000, and
 # 2 KB of stack per frame of it, within 512 MB to 2 GB. The surplus covers
 # thunk-over-symbol chains built across top-level forms, which the depth
@@ -70,14 +72,15 @@ def on_big_stack(recursion_limit: int, fn):
 
 
 _MISSING = object()
+_PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
 
 
 class Environment:
     """Chain of lexical frames mapping symbols to values.
 
     The frame of a lazy call is ``lazy``: its slots may hold raw thunks,
-    and every read of a slot forces it. Forcing is the identity on other
-    values, so the plain slots of that frame read as they are.
+    and a read of a slot that holds one forces it. Its other slots read
+    as they are.
     """
 
     __slots__ = ("vars", "parent", "lazy")
@@ -118,7 +121,8 @@ class Interpreter:
         self._depth = 0
         _builtins.install(self)
         if prelude:
-            self.run(PRELUDE_SOURCE)
+            for form in _PRELUDE:
+                self.eval_top(form)
 
     # ---------------------------------------------------------------- API
 
@@ -159,9 +163,7 @@ class Interpreter:
     def evaluate(self, form: Form, env: Environment):
         self._steps += 1
         if self._steps > self.step_limit:
-            raise StepLimitExceeded(
-                f"step limit of {self.step_limit} exceeded",
-                form.line, form.col)
+            raise self._out_of_steps(form)
         datum = form.datum
         if type(datum) is Symbol:
             return self.lookup(datum, env, form)
@@ -181,9 +183,20 @@ class Interpreter:
                     if fewest <= len(datum) <= most:
                         return handler(self, form, env)
                     raise _malformed(message, form)
-            fn = self.evaluate(datum[0], env)
-            args = [self.evaluate(arg, env) for arg in datum[1:]]
-            return self.apply(fn, args)
+            # A call: the head, then its arguments, left to right. An atom
+            # item is evaluated here, as evaluate would: one step, then its
+            # value; only a list item costs a nested evaluate.
+            values = []
+            for item in datum:
+                d = item.datum
+                if type(d) is list:
+                    values.append(self.evaluate(item, env))
+                    continue
+                self._steps += 1
+                if self._steps > self.step_limit:
+                    raise self._out_of_steps(item)
+                values.append(self.lookup(d, env, item) if type(d) is Symbol else d)
+            return self.apply(values[0], values[1:])
         except LispError as err:
             if err.line is None:
                 err.line, err.col = form.line, form.col
@@ -196,7 +209,7 @@ class Interpreter:
         while frame is not None:
             slot = frame.vars.get(symbol, _MISSING)
             if slot is not _MISSING:
-                if frame.lazy:
+                if frame.lazy and type(slot) is Thunk:
                     return force(self, slot)
                 return slot
             frame = frame.parent
@@ -204,6 +217,10 @@ class Interpreter:
         col = form.col if form is not None else None
         raise EvalError(f"unbound symbol {symbol.name}", line, col,
                         kind="unbound-symbol")
+
+    def _out_of_steps(self, form: Form) -> StepLimitExceeded:
+        return StepLimitExceeded(f"step limit of {self.step_limit} exceeded",
+                                 form.line, form.col)
 
     def eval_body(self, body: list, env: Environment):
         result = NIL
@@ -237,21 +254,26 @@ class Interpreter:
         if kind is BuiltinFunction:
             if lazy:
                 args = [force(self, a) for a in args]
-            self._check_builtin_arity(fn, len(args))
+            n = len(args)
+            if n < fn.min_args or (fn.max_args is not None and n > fn.max_args):
+                self._check_builtin_arity(fn, n)
             return fn.fn(self, args)
-        return self.eval_body(fn.body, self.bind_lambda_list(fn, args, lazy))
+        env = self.bind_lambda_list(fn, args, lazy)
+        result = NIL
+        for form in fn.body:  # eval_body, without its host frame
+            result = self.evaluate(form, env)
+        return result
 
     def _check_builtin_arity(self, fn: BuiltinFunction, n: int):
-        if n < fn.min_args or (fn.max_args is not None and n > fn.max_args):
-            if fn.max_args is None:
-                shape = f"at least {fn.min_args}"
-            elif fn.min_args == fn.max_args:
-                shape = str(fn.min_args)
-            else:
-                shape = f"{fn.min_args} to {fn.max_args}"
-            raise EvalError(
-                f"{fn.name.name} takes {shape} argument(s), got {n}",
-                None, None, kind="arity-mismatch")
+        """Raise the arity-mismatch error of a builtin given ``n`` arguments."""
+        if fn.max_args is None:
+            shape = f"at least {fn.min_args}"
+        elif fn.min_args == fn.max_args:
+            shape = str(fn.min_args)
+        else:
+            shape = f"{fn.min_args} to {fn.max_args}"
+        raise EvalError(f"{fn.name.name} takes {shape} argument(s), got {n}",
+                        None, None, kind="arity-mismatch")
 
     # ------------------------------------------------------------ binding
 
@@ -261,9 +283,10 @@ class Interpreter:
         Strict mode: missing defaults evaluated eagerly, left to right,
         with earlier parameters visible. Lazy mode: the frame is lazy
         (values may be raw thunks); a missing optional/keyword parameter
-        gets a thunk over its default expression closed over the frame
-        built so far; supplied-p slots hold t/nil; the rest slot is a list
-        of raw arguments; keyword markers are forced, their values not.
+        gets a thunk over its default expression closed over a copy of
+        the bindings made so far; supplied-p slots hold t/nil; the rest
+        slot is a list of raw arguments; keyword markers are forced,
+        their values not.
         """
         ll = fn.lambda_list
         frame = Environment(fn.closure, lazy)
@@ -330,7 +353,10 @@ class Interpreter:
             if param.default is None:
                 value = NIL
             elif frame.lazy:
-                value = delay(self, param.default, frame)
+                # the default sees the parameters bound so far, not later ones
+                seen = Environment(frame.parent, lazy=True)
+                seen.vars.update(frame.vars)
+                value = delay(self, param.default, seen)
             else:
                 value = self.evaluate(param.default, frame)
         frame.vars[param.name] = value
@@ -459,9 +485,7 @@ def _sf_loop(interp, form, env):
     while True:
         interp._steps += 1
         if interp._steps > interp.step_limit:
-            raise StepLimitExceeded(
-                f"step limit of {interp.step_limit} exceeded",
-                form.line, form.col)
+            raise interp._out_of_steps(form)
 
 
 _DEFLAZY = Symbol.intern("DEFLAZY")
@@ -481,13 +505,12 @@ _SPECIAL_FORMS = {
     _LAMBDA: (_sf_lambda, 2, _ANY, "lambda needs a lambda list"),
     Symbol.intern("FUNCTION"): (_sf_function, 2, 2,
                                 "function takes exactly one name or lambda form"),
-    Symbol.intern("DEFUN"): (_sf_defun, 3, _ANY,
-                             "defun needs a name, a lambda list, and a body"),
+    Symbol.intern("DEFUN"): (_sf_defun, 3, _ANY, "defun needs a name and a lambda list"),
     Symbol.intern("DEFPARAMETER"): (_sf_defparameter, 3, 3,
                                     "defparameter takes a name and one value form"),
     Symbol.intern("ECASE"): (_sf_ecase, 2, _ANY, "ecase needs a key form"),
     Symbol.intern("LOOP"): (_sf_loop, 1, 1, "only the empty (loop) form is supported"),
-    _DEFLAZY: (_sf_defun, 3, _ANY, "deflazy needs a name, a lambda list, and a body"),
+    _DEFLAZY: (_sf_defun, 3, _ANY, "deflazy needs a name and a lambda list"),
     Symbol.intern("LAZY-CALL"): (eval_lazy_call, 2, _ANY, "lazy-call needs an operator"),
     Symbol.intern("LAZY"): (eval_lazify, 2, 2, "lazy takes exactly one expression"),
     Symbol.intern("DELAY"): (eval_delay, 2, 2, "delay takes exactly one expression"),

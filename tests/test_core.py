@@ -173,8 +173,8 @@ _BAD_SHAPES = [
     ("(lambda)", "lambda needs a lambda list"),
     ("(function)", _FUNCTION_SHAPE),
     ("(function car cdr)", _FUNCTION_SHAPE),
-    ("(defun f)", "defun needs a name, a lambda list, and a body"),
-    ("(deflazy f)", "deflazy needs a name, a lambda list, and a body"),
+    ("(defun f)", "defun needs a name and a lambda list"),
+    ("(deflazy f)", "deflazy needs a name and a lambda list"),
     ("(defparameter x)", _DEFPARAMETER_SHAPE),
     ("(defparameter x 1 2)", _DEFPARAMETER_SHAPE),
     ("(ecase)", "ecase needs a key form"),
@@ -433,6 +433,70 @@ class TestBudgets:
         a.run("(defparameter only-a 1)")
         with pytest.raises(EvalError):
             b.run("only-a")
+
+
+_FIB = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
+_LFIB = ("(deflazy lfib (n) (if (< n 2) n "
+         "(+ (lazy-call 'lfib (- n 1)) (lazy-call 'lfib (- n 2)))))")
+
+# A call-heavy form: constants, a keyword, globals, locals, lazy-parameter
+# reads and nested calls, on several lines so that positions differ. The
+# bodies of sq and mix run inside it, so their positions show up too.
+_WALK_SETUP = """(defparameter g 10)
+(defun sq (x) (* x x))
+(deflazy mix (a b) (list a (sq b) g))"""
+_WALK_FORM = """(list 1 g
+      (sq (+ g 2))
+      (lazy-call 'mix g (sq 3))
+      ((lambda (y) (cons y g)) :k))"""
+# Where the step after the first k runs out, for k = 1, 2, ...: each item
+# costs one step where it stands, and a thunk's steps come where it is forced.
+_WALK_STOPS = (
+    "1:2 1:7 1:9 2:7 2:8 2:11 2:12 2:14 2:16 2:15 2:16 2:18 2:20 3:7 3:18 "
+    "3:20 3:21 3:26 3:23 3:28 3:29 3:32 3:25 3:26 3:29 2:15 2:16 2:18 2:20 "
+    "2:15 2:16 2:18 2:20 3:35 4:7 4:8 4:32 4:20 4:21 4:26 4:28").split()
+
+
+class TestStepAccounting:
+    """One step per form evaluated, and thunks as the lazy convention makes them."""
+
+    @staticmethod
+    def _counts(interp, source):
+        before = interp.thunk_allocations
+        interp.run(source)
+        return interp._steps, interp.thunk_allocations - before
+
+    def test_strict_fib(self):
+        interp = Interpreter(prelude=False)
+        interp.run(_FIB)
+        assert self._counts(interp, "(fib 10)") == (2209, 0)
+
+    @pytest.mark.parametrize("memoize, steps", [(False, 8001), (True, 2209)])
+    def test_lazy_fib(self, memoize, steps):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run(_LFIB)
+        assert self._counts(interp, "(lazy-call 'lfib 10)") == (steps, 176)
+
+    @pytest.mark.parametrize("memoize, second", [(False, (4210, 200)), (True, (3310, 0))])
+    def test_two_passes_over_a_stream(self, memoize, second):
+        interp = Interpreter(memoize=memoize)
+        interp.run("(defparameter nats (integers-from 0))")
+        assert self._counts(interp, "(stream-take nats 100)") == (4210, 200)
+        assert self._counts(interp, "(stream-take nats 100)") == second
+
+    def test_step_limit_stops_at_every_step_in_order(self):
+        interp = Interpreter(prelude=False)
+        interp.run(_WALK_SETUP)
+        assert print_value(interp.run(_WALK_FORM)) == "(1 10 144 (10 81 10) (:K . 10))"
+        total = interp._steps
+        assert total == len(_WALK_STOPS) + 1
+        for limit, stop in enumerate(_WALK_STOPS, start=1):
+            interp.step_limit = limit
+            with pytest.raises(StepLimitExceeded) as exc:
+                interp.run(_WALK_FORM)
+            assert f"{exc.value.line}:{exc.value.col}" == stop, limit
+        interp.step_limit = total
+        assert print_value(interp.run(_WALK_FORM)) == "(1 10 144 (10 81 10) (:K . 10))"
 
 
 class TestErrorKinds:

@@ -273,6 +273,17 @@ class TestLazyCall:
         assert interp.run("(lazy-call #'g (tick!))") is Symbol.intern("DONE")
         assert interp.tick_count == 0
 
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_defaults_do_not_see_later_parameters(self, memoize):
+        # a default names a global that a later parameter shadows; only
+        # the parameters before it are in scope, as in a strict call
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(defparameter b 100)"
+                   "(deflazy f (&optional (a b) b) a)"
+                   "(deflazy k (&key (a b) (b 7)) a)")
+        for call in ("(f)", "(lazy-call 'f)", "(k)", "(lazy-call 'k)"):
+            assert interp.run(call) == 100, call
+
     def test_rest_holds_raw_thunks(self, interp):
         interp.run("(deflazy grab (&rest r) r)")
         v = interp.run("(lazy-call #'grab (tick!) (tick!))")
@@ -430,6 +441,7 @@ class TestModesAgree:
 
 # ------------------------------------------------ binder, strict vs lazy
 
+_MAX_NAMES = 16  # more than the variables and later names a case can use
 _ARG_FORMS = st.sampled_from(["7", "-2", "(+ 0 8)", "'a", "(list 1 2)", "nil"])
 
 
@@ -441,7 +453,9 @@ def _binder_cases(draw):
     ``diverging`` is the lambda list with every default replaced by
     (diverge); ``reads`` reads each variable it binds, forcing the
     elements of the rest list; ``supplied`` are its supplied-p variables;
-    ``kind`` is None when the arguments bind.
+    ``kind`` is None when the arguments bind. A default may name a
+    later parameter, which is then out of its scope: the test binds every
+    name globally too.
     """
     counter = iter(range(100))
     reads, supplied, visible = [], [], []
@@ -466,8 +480,9 @@ def _binder_cases(draw):
             text = name if head == name else f"({head})"
             diverging = f"({head} (diverge))"
         else:
+            later = f"v{int(name[1:]) + draw(st.integers(1, 2))}"
             default = draw(st.sampled_from(
-                ["5", "(+ 1 2)"] + [f"(list {v})" for v in visible]))
+                ["5", "(+ 1 2)"] + [f"(list {v})" for v in visible + [later]]))
             flag = ""
             if shape == "supplied":
                 supplied.append(fresh())
@@ -557,6 +572,7 @@ class TestBinderModesAgree:
         lambda_list, diverging, reads, supplied, args, kind = case
         args = " ".join(args)
         interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("".join(f"(defparameter v{n} 'global{n})" for n in range(_MAX_NAMES)))
         interp.run("(defun force-all (xs)"
                    " (if xs (cons (force (car xs)) (force-all (cdr xs))) nil))")
         interp.run(f"(deflazy f {lambda_list} (list {' '.join(reads)}))")
