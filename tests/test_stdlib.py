@@ -68,6 +68,45 @@ class TestArithmetic:
         with pytest.raises(EvalError):
             interp.run("(1+ 'a)")
 
+    @pytest.mark.parametrize("src, message", [
+        ('(+ 1 "two")', '+ expects integers, got "two"'),
+        ("(- 'a)", "- expects integers, got A"),
+        ("(- 5 1 :k)", "- expects integers, got :K"),
+        ("(* 2 t)", "* expects integers, got T"),
+        ("(1+ nil)", "1+ expects integers, got NIL"),
+        ("(= '(1))", "= expects integers, got (1)"),
+        ("(= 1 1 \"x\")", '= expects integers, got "x"'),
+        ("(< 1 2 'b)", "< expects integers, got B"),
+        ("(< :k)", "< expects integers, got :K"),
+    ])
+    def test_type_error_messages(self, interp, src, message):
+        with pytest.raises(EvalError) as exc:
+            interp.run(f"(progn\n  {src})")
+        assert (exc.value.kind, exc.value.message, exc.value.where()) == (
+            "type-error", message, "2:3")
+
+    @pytest.mark.parametrize("src, message", [
+        (f"(+ {INT_MAX} 1)", "+: result exceeds the 64-bit signed range"),
+        (f"(+ {INT_MAX} 1 -1)", "+: result exceeds the 64-bit signed range"),
+        (f"(- {INT_MIN})", "-: result exceeds the 64-bit signed range"),
+        (f"(- 0 {INT_MAX} 2 -5)", "-: result exceeds the 64-bit signed range"),
+        (f"(* {INT_MAX} 2 0)", "*: result exceeds the 64-bit signed range"),
+        (f"(1+ {INT_MAX})", "1+: result exceeds the 64-bit signed range"),
+    ])
+    def test_overflow_messages_at_the_partial_result(self, interp, src, message):
+        with pytest.raises(EvalError) as exc:
+            interp.run(src)
+        assert (exc.value.kind, exc.value.message) == ("overflow", message)
+
+    def test_overflow_before_a_later_type_error(self, interp):
+        with pytest.raises(EvalError) as exc:
+            interp.run(f'(+ {INT_MAX} 1 "x")')
+        assert exc.value.kind == "overflow"
+
+    def test_comparisons_stop_before_later_operands(self, interp):
+        assert interp.run('(= 1 2 "x")') is NIL
+        assert interp.run('(< 2 1 "x")') is NIL
+
 
 class TestListsAndPredicates:
     def test_cons_car_cdr(self, interp):
