@@ -1,6 +1,7 @@
 """Primitive functions installed into every fresh global environment.
 
-Arithmetic is signed 64-bit with overflow checking; car/cdr of nil are
+Arithmetic is signed 64-bit: each operand's type and each partial
+result's range is checked where the loop reaches it. car/cdr of nil are
 nil; funcall is a strict call, so it cannot enter a lazy-only function.
 tick!/ticks expose the per-interpreter effect counter, and diverge is
 the testable stand-in for a non-terminating form.
@@ -23,63 +24,78 @@ from .values import (
 )
 
 
-def _check_int(value, who: str):
-    if not isinstance(value, int):
-        raise EvalError(f"{who} expects integers, got {print_value(value)}",
-                        None, None, kind="type-error")
-    return value
+def _not_int(who: str, value) -> EvalError:
+    return EvalError(f"{who} expects integers, got {print_value(value)}",
+                     None, None, kind="type-error")
 
 
-def _check_range(value: int, who: str) -> int:
-    if not INT_MIN <= value <= INT_MAX:
-        raise EvalError(f"{who}: result exceeds the 64-bit signed range",
-                        None, None, kind="overflow")
-    return value
+def _overflow(who: str) -> EvalError:
+    return EvalError(f"{who}: result exceeds the 64-bit signed range",
+                     None, None, kind="overflow")
 
 
 def _bi_add(interp, args):
     total = 0
     for a in args:
-        total = _check_range(total + _check_int(a, "+"), "+")
+        if type(a) is not int:
+            raise _not_int("+", a)
+        total += a
+        if not INT_MIN <= total <= INT_MAX:
+            raise _overflow("+")
     return total
 
 
 def _bi_sub(interp, args):
-    first = _check_int(args[0], "-")
-    if len(args) == 1:
-        return _check_range(-first, "-")
-    total = first
-    for a in args[1:]:
-        total = _check_range(total - _check_int(a, "-"), "-")
+    total, rest = (args[0], args[1:]) if len(args) > 1 else (0, args)  # (- x) is 0 - x
+    if type(total) is not int:
+        raise _not_int("-", total)
+    for a in rest:
+        if type(a) is not int:
+            raise _not_int("-", a)
+        total -= a
+        if not INT_MIN <= total <= INT_MAX:
+            raise _overflow("-")
     return total
 
 
 def _bi_mul(interp, args):
     total = 1
     for a in args:
-        total = _check_range(total * _check_int(a, "*"), "*")
+        if type(a) is not int:
+            raise _not_int("*", a)
+        total *= a
+        if not INT_MIN <= total <= INT_MAX:
+            raise _overflow("*")
     return total
 
 
 def _bi_add1(interp, args):
-    return _check_range(_check_int(args[0], "1+") + 1, "1+")
+    a = args[0]
+    if type(a) is not int:
+        raise _not_int("1+", a)
+    if a == INT_MAX:
+        raise _overflow("1+")
+    return a + 1
 
 
 def _bi_num_eq(interp, args):
-    first = _check_int(args[0], "=")
-    for a in args[1:]:
-        if _check_int(a, "=") != first:
+    first = args[0]
+    for a in args:
+        if type(a) is not int:
+            raise _not_int("=", a)
+        if a != first:
             return NIL
     return T
 
 
 def _bi_num_lt(interp, args):
-    prev = _check_int(args[0], "<")
-    for a in args[1:]:
-        cur = _check_int(a, "<")
-        if not prev < cur:
+    prev = None
+    for a in args:
+        if type(a) is not int:
+            raise _not_int("<", a)
+        if prev is not None and not prev < a:
             return NIL
-        prev = cur
+        prev = a
     return T
 
 

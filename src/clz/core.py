@@ -14,7 +14,7 @@ import threading
 
 from . import builtins as _builtins
 from .errors import EvalError, LispError, StepLimitExceeded, _malformed
-from .lambdalist import Param, parse_lambda_list
+from .lambdalist import Param, lambda_list_of
 from .lazy import delay, eval_delay, eval_lazify, eval_lazy_call, force
 from .prelude import PRELUDE_SOURCE
 from .reader import Form, form_to_value, read_source
@@ -175,14 +175,11 @@ class Interpreter:
                 raise EvalError(
                     f"recursion depth exceeded the limit of {self.recursion_limit}",
                     form.line, form.col, kind="recursion-limit")
-            head = datum[0].datum
-            if type(head) is Symbol:
-                special = _SPECIAL_FORMS.get(head)
-                if special is not None:
-                    handler, fewest, most, message = special
-                    if fewest <= len(datum) <= most:
-                        return handler(self, form, env)
-                    raise _malformed(message, form)
+            handler = form.cache
+            if handler is None:
+                handler = form.cache = _dispatch(form)
+            if handler is not _CALL:
+                return handler(self, form, env)
             # A call: the head, then its arguments, left to right. An atom
             # item is evaluated here, as evaluate would: one step, then its
             # value; only a list item costs a nested evaluate.
@@ -372,7 +369,11 @@ def _label(fn) -> str:
 # ------------------------------------------------------------ special forms
 
 def _sf_quote(interp, form, env):
-    return form_to_value(form.datum[1])
+    # One value serves every evaluation: a Cons is immutable, and clz has no eq.
+    quoted = form.datum[1]
+    if quoted.cache is None:
+        quoted.cache = form_to_value(quoted)
+    return quoted.cache
 
 
 def _sf_if(interp, form, env):
@@ -415,7 +416,7 @@ def _sf_let(interp, form, env):
 def _sf_lambda(interp, form, env) -> FunctionObject:
     """(lambda (params...) body...) -> a strict closure over ``env``."""
     items = form.datum
-    return FunctionObject(None, parse_lambda_list(items[1]), items[2:], env)
+    return FunctionObject(None, lambda_list_of(items[1]), items[2:], env)
 
 
 def _sf_function(interp, form, env):
@@ -427,12 +428,9 @@ def _sf_function(interp, form, env):
             return value
         raise EvalError(f"{d.name} does not name a function",
                         target.line, target.col, kind="not-a-function")
-    if isinstance(d, list) and d and d[0].datum is _LAMBDA:
-        # #'(lambda ...) is not evaluated, so check its shape here
-        _, fewest, most, message = _SPECIAL_FORMS[_LAMBDA]
-        if fewest <= len(d) <= most:
-            return _sf_lambda(interp, target, env)
-        raise _malformed(message, target)
+    if isinstance(d, list) and d[0].datum is _LAMBDA:
+        _dispatch(target)  # #'(lambda ...) is not evaluated, so check its shape here
+        return _sf_lambda(interp, target, env)
     raise _malformed("function expects a symbol or a lambda form", target)
 
 
@@ -449,7 +447,7 @@ def _sf_defun(interp, form, env):
     if not isinstance(name_form.datum, Symbol):
         raise _malformed(f"{head.name.lower()} name must be a symbol", name_form)
     name = name_form.datum
-    fn = FunctionObject(name, parse_lambda_list(items[2]), items[3:], env,
+    fn = FunctionObject(name, lambda_list_of(items[2]), items[3:], env,
                         lazy=head is _DEFLAZY)
     interp.global_env.vars[name] = fn
     return name
@@ -488,14 +486,28 @@ def _sf_loop(interp, form, env):
             raise interp._out_of_steps(form)
 
 
+def _dispatch(form: Form):
+    """The handler of list ``form``'s special form, or _CALL for a call.
+    A malformed special form raises, so a failed check is never cached."""
+    head = form.datum[0].datum
+    special = _SPECIAL_FORMS.get(head) if type(head) is Symbol else None
+    if special is None:
+        return _CALL
+    handler, fewest, most, message = special
+    if fewest <= len(form.datum) <= most:
+        return handler
+    raise _malformed(message, form)
+
+
+_CALL = object()  # form.cache of a list form that is a call
 _DEFLAZY = Symbol.intern("DEFLAZY")
 _LAMBDA = Symbol.intern("LAMBDA")
 _ANY = sys.maxsize  # no upper bound on a form's item count
 
 # Each special form's handler and shape: the fewest and the most items
 # its list may have, head included, and the malformed-special-form
-# message for any other count. evaluate checks the count before it
-# dispatches, so a handler may index every item its shape guarantees.
+# message for any other count. _dispatch checks the count before a handler
+# first runs, so a handler may index every item its shape guarantees.
 _SPECIAL_FORMS = {
     Symbol.intern("QUOTE"): (_sf_quote, 2, 2, "quote takes exactly one form"),
     Symbol.intern("IF"): (_sf_if, 3, 4, "if takes a condition, a then-form, "

@@ -1,7 +1,8 @@
 """Lambda-list parsing: required, &optional, &rest, and &key parameters.
 
-Parsing is purely structural — it happens once when a function object is
-created. Binding argument values against the parsed shape lives in core.
+Parsing is purely structural, so the first lambda, defun or deflazy that
+reaches a lambda-list form keeps its parse on the form; a bad one raises
+each time. Binding argument values against the parsed shape lives in core.
 """
 
 from __future__ import annotations
@@ -115,6 +116,13 @@ def parse_lambda_list(form: Form) -> LambdaList:
         i += 1
 
     return LambdaList(required, optional, rest, keys)
+
+
+def lambda_list_of(form: Form) -> LambdaList:
+    """The parse of lambda-list ``form``, made on its first use only."""
+    if form.cache is None:
+        form.cache = parse_lambda_list(form)
+    return form.cache
 
 
 def _parse_param(item: Form, claim, keyed: bool) -> Param:

@@ -49,14 +49,17 @@ class Form:
 
     ``datum`` is an atom (int, str, Symbol, Keyword, T, NIL) or a Python
     list of sub-Forms. Surface lists are always proper; ``()`` reads as NIL.
+    ``cache`` is None as read. A first evaluation that succeeds keeps there
+    what depends on this Form alone: its dispatch, quoted value or parse.
     """
 
-    __slots__ = ("datum", "line", "col")
+    __slots__ = ("datum", "line", "col", "cache")
 
     def __init__(self, datum, line: int, col: int):
         self.datum = datum
         self.line = line
         self.col = col
+        self.cache = None
 
     def __repr__(self):
         """The printed form, cut to 80 characters for diagnostics."""

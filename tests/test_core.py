@@ -20,6 +20,7 @@ from clz import (
     print_value,
 )
 from clz.core import on_big_stack
+from clz.reader import read_source
 from tests.conftest import to_py
 
 
@@ -433,6 +434,56 @@ class TestBudgets:
         a.run("(defparameter only-a 1)")
         with pytest.raises(EvalError):
             b.run("only-a")
+
+
+
+class TestFormCache:
+    """What a form's first evaluation keeps on it changes no later outcome."""
+
+    @staticmethod
+    def _errors(interp, source, times=2):
+        outcomes = []
+        for _ in range(times):
+            with pytest.raises(EvalError) as exc:
+                interp.run(source)
+            outcomes.append((exc.value.kind, exc.value.message, exc.value.where()))
+        return outcomes
+
+    def test_malformed_form_in_a_body_raises_on_every_call(self, interp):
+        interp.run("(defun f (x)\n  (if x (if)))")
+        expected = ("malformed-special-form",
+                    "if takes a condition, a then-form, and an optional else-form", "2:9")
+        assert self._errors(interp, "(f 1)") == [expected, expected]
+        assert interp.run("(f nil)") is NIL
+
+    def test_bad_lambda_list_in_a_body_raises_on_every_call(self, interp):
+        interp.run("(defun f (x) (funcall (lambda (y y) y) x))")
+        expected = ("malformed-lambda-list", "duplicate parameter name Y", "1:34")
+        assert self._errors(interp, "(f 1)", 3) == [expected] * 3
+
+    def test_quoted_list_returned_twice_prints_the_same(self, interp):
+        interp.run("(defun q () '(1 (2 \"s\") :k))")
+        assert [print_value(interp.run("(q)")) for _ in range(2)] == ['(1 (2 "s") :K)'] * 2
+
+    def test_each_lambda_list_is_parsed_once(self, interp, monkeypatch):
+        from clz import lambdalist
+        calls = []
+        parse = lambdalist.parse_lambda_list
+        monkeypatch.setattr(lambdalist, "parse_lambda_list",
+                            lambda form: calls.append(form) or parse(form))
+        interp.run("(defun adder (n) (lambda (x &optional (y n)) (+ x y)))")
+        assert interp.run("(+ (funcall (adder 1) 10) (funcall (adder 2) 10 5))") == 26
+        assert [repr(form) for form in calls] == ["(N)", "(X &OPTIONAL (Y N))"]
+
+    def test_one_form_in_two_interpreters_calls_each_ones_function(self):
+        (form,) = read_source("(list (g 1) '(a) (funcall (lambda (x) (* x 2)) 4))")
+        results = []
+        for body in ("(+ x 1)", "(- x 1)"):
+            interp = Interpreter(prelude=False)
+            interp.run(f"(defun g (x) {body})")
+            results.append(print_value(interp.eval_top(form)))
+            results.append(print_value(interp.eval_top(form)))
+        assert results == ["(2 (A) 8)"] * 2 + ["(0 (A) 8)"] * 2
 
 
 _FIB = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))"
