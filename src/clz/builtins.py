@@ -2,9 +2,10 @@
 
 Arithmetic is signed 64-bit: each operand's type and each partial
 result's range is checked where the loop reaches it. car/cdr of nil are
-nil; funcall is a strict call, so it cannot enter a lazy-only function.
-tick!/ticks expose the per-interpreter effect counter, and diverge is
-the testable stand-in for a non-terminating form.
+nil; funcall is a strict call that Interpreter.apply resolves, so it
+cannot enter a lazy-only function. tick!/ticks expose the
+per-interpreter effect counter, and diverge is the testable stand-in
+for a non-terminating form.
 """
 
 from __future__ import annotations
@@ -127,13 +128,6 @@ def _bi_list(interp, args):
     return cons_list(args)
 
 
-def _bi_funcall(interp, args):
-    fn = args[0]
-    if isinstance(fn, Symbol):
-        fn = interp.lookup(fn, interp.global_env)
-    return interp.apply(fn, args[1:])
-
-
 def _bi_not(interp, args):
     return T if args[0] is NIL else NIL
 
@@ -171,7 +165,7 @@ _TABLE = [
     ("car", _bi_car, 1, 1),
     ("cdr", _bi_cdr, 1, 1),
     ("list", _bi_list, 0, None),
-    ("funcall", _bi_funcall, 1, None),
+    ("funcall", None, 1, None),  # Interpreter.apply calls its first argument
     ("not", _bi_not, 1, 1),
     ("null", _bi_not, 1, 1),
     ("force", _bi_force, 1, 1),

@@ -30,17 +30,18 @@ from .values import (
     print_value,
 )
 
-# The host stack: forcing nests evaluation on it. Host frames per unit of
-# the depth guard, measured on Python 3.11 with a frame-counting builtin:
-# 2.0 in strict recursion, 2.6 through let/progn/ecase, 2.5 through
-# lazy-call, 3.0 through funcall, at most 4.0 where a lazy frame reads a
-# thunk over a symbol; a stream-take element costs 5. A thread that
-# on_big_stack starts gets a ceiling of 24 frames per unit plus 5,000, and
-# 2 KB of stack per frame of it, within 512 MB to 2 GB. The surplus covers
-# thunk-over-symbol chains built across top-level forms, which the depth
-# guard does not count. The ceiling stops at 2**31 - 1, the most that
-# sys.setrecursionlimit takes. Any other thread keeps its stack, so its
-# ceiling is 12,000: one of 245,000 segfaults an 8 MB main thread.
+# The host stack: forcing, arguments and conditions nest evaluation on it;
+# tails do not. Host frames per unit of the depth guard, measured on Python
+# 3.11 with a frame-counting builtin: none in tail recursion, 0.33 where a
+# strict, funcall or lazy-call recursion is an argument, 0.2 through
+# let/progn/ecase, 1.5 where a lazy frame reads a thunk over a symbol; a
+# stream-take element costs 1 frame for 3 units. A thread that on_big_stack
+# starts gets a ceiling of 24 frames per unit plus 5,000, and 2 KB of stack
+# per frame of it, within 512 MB to 2 GB. The surplus covers thunk-over-
+# symbol chains built across top-level forms, 3 uncounted frames per link.
+# The ceiling stops at 2**31 - 1, the most that sys.setrecursionlimit takes.
+# Any other thread keeps its stack, so its ceiling is 12,000: one of
+# 245,000 segfaults an 8 MB main thread.
 _FRAMES_PER_DEPTH, _BYTES_PER_FRAME, _MAX_CEILING = 24, 2048, 2**31 - 1
 _MIN_STACK, _MAX_STACK, _UNSIZED_CEILING = 512 << 20, 2 << 30, 12_000
 _sized = threading.local()  # .ceiling is set on threads on_big_stack starts
@@ -161,45 +162,59 @@ class Interpreter:
     # ---------------------------------------------------------- evaluator
 
     def evaluate(self, form: Form, env: Environment):
-        self._steps += 1
-        if self._steps > self.step_limit:
-            raise self._out_of_steps(form)
-        datum = form.datum
-        if type(datum) is Symbol:
-            return self.lookup(datum, env, form)
-        if not isinstance(datum, list):
-            return datum  # integers, strings, keywords, t, nil
-        self._depth += 1
+        """The value of ``form`` in ``env``. A tail, the chosen if branch or
+        a body's last form, goes round the loop instead of nesting, with the
+        steps, depth and error position that nesting would give."""
+        depth = self._depth
+        call = None  # the innermost list form entered: it positions errors
         try:
-            if self._depth > self.recursion_limit:
-                raise EvalError(
-                    f"recursion depth exceeded the limit of {self.recursion_limit}",
-                    form.line, form.col, kind="recursion-limit")
-            handler = form.cache
-            if handler is None:
-                handler = form.cache = _dispatch(form)
-            if handler is not _CALL:
-                return handler(self, form, env)
-            # A call: the head, then its arguments, left to right. An atom
-            # item is evaluated here, as evaluate would: one step, then its
-            # value; only a list item costs a nested evaluate.
-            values = []
-            for item in datum:
-                d = item.datum
-                if type(d) is list:
-                    values.append(self.evaluate(item, env))
-                    continue
+            while True:
                 self._steps += 1
                 if self._steps > self.step_limit:
-                    raise self._out_of_steps(item)
-                values.append(self.lookup(d, env, item) if type(d) is Symbol else d)
-            return self.apply(values[0], values[1:])
+                    raise self._out_of_steps(form)
+                datum = form.datum
+                if type(datum) is not list:  # a symbol, or a constant
+                    return self.lookup(datum, env, form) if type(datum) is Symbol else datum
+                call = form
+                self._depth += 1
+                if self._depth > self.recursion_limit:
+                    raise EvalError(
+                        f"recursion depth exceeded the limit of {self.recursion_limit}",
+                        form.line, form.col, kind="recursion-limit")
+                handler = form.cache
+                if handler is None:
+                    handler = form.cache = _dispatch(form)
+                if handler is not _CALL:
+                    result = handler(self, form, env)
+                else:
+                    # The head, then the arguments, left to right. An atom
+                    # item is evaluated here, as evaluate would: one step,
+                    # then its value; only a list item costs a nested evaluate.
+                    values = []
+                    for item in datum:
+                        d = item.datum
+                        if type(d) is list:
+                            values.append(self.evaluate(item, env))
+                            continue
+                        self._steps += 1
+                        if self._steps > self.step_limit:
+                            raise self._out_of_steps(item)
+                        values.append(self.lookup(d, env, item) if type(d) is Symbol else d)
+                    result = self.apply(values[0], values[1:])
+                if type(result) is not tuple:
+                    return result
+                body, env = result  # a tail: the body to run and its frame
+                if not body:
+                    return NIL
+                for item in body[:-1]:
+                    self.evaluate(item, env)
+                form = body[-1]
         except LispError as err:
-            if err.line is None:
-                err.line, err.col = form.line, form.col
+            if err.line is None and call is not None:
+                err.line, err.col = call.line, call.col
             raise
         finally:
-            self._depth -= 1
+            self._depth = depth
 
     def lookup(self, symbol: Symbol, env: Environment, form: Form | None = None):
         frame = env
@@ -210,20 +225,12 @@ class Interpreter:
                     return force(self, slot)
                 return slot
             frame = frame.parent
-        line = form.line if form is not None else None
-        col = form.col if form is not None else None
-        raise EvalError(f"unbound symbol {symbol.name}", line, col,
-                        kind="unbound-symbol")
+        where = (form.line, form.col) if form is not None else (None, None)
+        raise EvalError(f"unbound symbol {symbol.name}", *where, kind="unbound-symbol")
 
     def _out_of_steps(self, form: Form) -> StepLimitExceeded:
         return StepLimitExceeded(f"step limit of {self.step_limit} exceeded",
                                  form.line, form.col)
-
-    def eval_body(self, body: list, env: Environment):
-        result = NIL
-        for form in body:
-            result = self.evaluate(form, env)
-        return result
 
     # -------------------------------------------------------- application
 
@@ -233,33 +240,35 @@ class Interpreter:
 
         A strict call passes evaluated values; a lazy call (from
         lazy-call) passes values and thunks: parameters bind lazily, and
-        a builtin gets its arguments forced. An error raised here has no
-        position; the evaluate call around it gives it the calling form's.
+        a builtin gets its arguments forced. A function's body is not run
+        here: the result is the tail (body, bound frame). funcall becomes a
+        strict call of its first argument, where a symbol names a global
+        function. An error raised here has no position; the evaluate call
+        around it gives it the calling form's.
         """
-        kind = type(fn)
-        if kind is not FunctionObject and kind is not BuiltinFunction:
-            raise EvalError(f"{print_value(fn)} is not a function",
-                            None, None, kind="not-a-function")
-        if not (fn.lazy if lazy else fn.strict):
-            if lazy:
-                raise EvalError(f"{_label(fn)} is strict and has no lazy version",
-                                None, None, kind="no-lazy-version")
-            raise EvalError(
-                f"{print_value(fn)} has the lazy calling convention; "
-                "call it with lazy-call",
-                None, None, kind="lazy-through-strict")
-        if kind is BuiltinFunction:
+        while True:
+            kind = type(fn)
+            if kind is not FunctionObject and kind is not BuiltinFunction:
+                raise EvalError(f"{print_value(fn)} is not a function",
+                                None, None, kind="not-a-function")
+            if not (fn.lazy if lazy else fn.strict):
+                if lazy:
+                    raise EvalError(f"{_label(fn)} is strict and has no lazy version",
+                                    None, None, kind="no-lazy-version")
+                raise EvalError(f"{print_value(fn)} has the lazy calling convention; "
+                                "call it with lazy-call", None, None, kind="lazy-through-strict")
+            if kind is FunctionObject:
+                return fn.body, self.bind_lambda_list(fn, args, lazy)
             if lazy:
                 args = [force(self, a) for a in args]
             n = len(args)
             if n < fn.min_args or (fn.max_args is not None and n > fn.max_args):
                 self._check_builtin_arity(fn, n)
-            return fn.fn(self, args)
-        env = self.bind_lambda_list(fn, args, lazy)
-        result = NIL
-        for form in fn.body:  # eval_body, without its host frame
-            result = self.evaluate(form, env)
-        return result
+            if fn.fn is not None:
+                return fn.fn(self, args)
+            fn, args, lazy = args[0], args[1:], False  # funcall
+            if type(fn) is Symbol:
+                fn = self.lookup(fn, self.global_env)
 
     def _check_builtin_arity(self, fn: BuiltinFunction, n: int):
         """Raise the arity-mismatch error of a builtin given ``n`` arguments."""
@@ -304,7 +313,7 @@ class Interpreter:
         tail = args[i:]
         if ll.rest is not None:
             slots[ll.rest] = cons_list(tail)
-        if ll.keys:
+        if ll.keys is not None:
             pairs = self._keyword_pairs(frame, fn, tail)
             for param in ll.keys:
                 self._bind_param(frame, param, pairs.get(param.keyword, _MISSING))
@@ -367,6 +376,7 @@ def _label(fn) -> str:
 
 
 # ------------------------------------------------------------ special forms
+# A handler returns a value, or a tail: (forms left to run, their env).
 
 def _sf_quote(interp, form, env):
     # One value serves every evaluation: a Cons is immutable, and clz has no eq.
@@ -379,25 +389,21 @@ def _sf_quote(interp, form, env):
 def _sf_if(interp, form, env):
     items = form.datum
     if interp.evaluate(items[1], env) is not NIL:
-        return interp.evaluate(items[2], env)
-    if len(items) == 4:
-        return interp.evaluate(items[3], env)
-    return NIL
+        return items[2:3], env
+    return items[3:], env  # no else-form: an empty tail, which is nil
 
 
 def _sf_progn(interp, form, env):
-    return interp.eval_body(form.datum[1:], env)
+    return form.datum[1:], env
 
 
 def _sf_let(interp, form, env):
     items = form.datum
-    bindings_form = items[1]
-    if bindings_form.datum is NIL:
-        bindings = []
-    elif isinstance(bindings_form.datum, list):
-        bindings = bindings_form.datum
-    else:
-        raise _malformed("let bindings must be a list", bindings_form)
+    bindings = items[1].datum
+    if bindings is NIL:
+        bindings = ()
+    elif not isinstance(bindings, list):
+        raise _malformed("let bindings must be a list", items[1])
     frame = Environment(env)
     # parallel let: initializers see the outer environment only
     for binding in bindings:
@@ -410,7 +416,7 @@ def _sf_let(interp, form, env):
             frame.vars[d[0].datum] = value
             continue
         raise _malformed(f"malformed let binding {binding!r}", binding)
-    return interp.eval_body(items[2:], frame)
+    return items[2:], frame
 
 
 def _sf_lambda(interp, form, env) -> FunctionObject:
@@ -474,7 +480,7 @@ def _sf_ecase(interp, form, env):
         if not (isinstance(clause_key, Symbol) or clause_key is T or clause_key is NIL):
             raise _malformed("ecase clause keys must be unevaluated symbols", d[0])
         if clause_key is key:
-            return interp.eval_body(d[1:], env)
+            return d[1:], env
     raise EvalError(f"{print_value(key)} matched no ecase clause",
                     form.line, form.col, kind="ecase-no-match")
 

@@ -34,7 +34,7 @@ class LambdaList:
         self.required: list[Symbol] = required
         self.optional: list[Param] = optional
         self.rest: Optional[Symbol] = rest
-        self.keys: list[Param] = keys
+        self.keys: Optional[list[Param]] = keys  # None when &key is not written
 
 
 def _bad(msg: str, form: Form) -> EvalError:
@@ -68,7 +68,7 @@ def parse_lambda_list(form: Form) -> LambdaList:
     required: list[Symbol] = []
     optional: list[Param] = []
     rest: Optional[Symbol] = None
-    keys: list[Param] = []
+    keys: Optional[list[Param]] = None
     seen: set[Symbol] = set()
 
     def claim(name: Symbol, where: Form):
@@ -98,6 +98,7 @@ def parse_lambda_list(form: Form) -> LambdaList:
                 continue
             elif d is _KEY and section < SECTION_KEY:
                 section = SECTION_KEY
+                keys = []
             else:
                 if d in _MARKERS:
                     raise _bad(f"{d.name} out of order", item)

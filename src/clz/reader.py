@@ -100,6 +100,8 @@ def read_source(text: str) -> list[Form]:
                 if len(name) == 1:
                     raise ReadError("lone ':' is not a keyword", line, col)
                 datum = Keyword.intern(name[1:])
+            elif name == ".":
+                raise ReadError("lone '.': dotted lists are not supported", line, col)
             elif name == "T":
                 datum = T
             elif name == "NIL":

@@ -11,43 +11,38 @@ INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
 
 
-class Symbol:
-    """Interned, case-canonicalized (upper) symbol; compare with ``is``."""
+class _Interned:
+    """One instance per upper-cased name, in its class's ``_table``."""
 
     __slots__ = ("name",)
-    _table: dict[str, "Symbol"] = {}
 
     def __init__(self, name: str):
         self.name = name
 
     @classmethod
-    def intern(cls, name: str) -> "Symbol":
+    def intern(cls, name: str):
         key = name.upper()
-        sym = cls._table.get(key)
-        if sym is None:
-            sym = cls._table[key] = cls(key)
-        return sym
+        found = cls._table.get(key)
+        if found is None:
+            found = cls._table[key] = cls(key)
+        return found
+
+
+class Symbol(_Interned):
+    """Interned, case-canonicalized (upper) symbol."""
+
+    __slots__ = ()
+    _table: dict[str, "Symbol"] = {}
 
     def __repr__(self):
         return self.name
 
 
-class Keyword:
-    """Interned keyword (``:name``); self-evaluating, compare with ``is``."""
+class Keyword(_Interned):
+    """Interned keyword (``:name``); self-evaluating."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
     _table: dict[str, "Keyword"] = {}
-
-    def __init__(self, name: str):
-        self.name = name
-
-    @classmethod
-    def intern(cls, name: str) -> "Keyword":
-        key = name.upper()
-        kw = cls._table.get(key)
-        if kw is None:
-            kw = cls._table[key] = cls(key)
-        return kw
 
     def __repr__(self):
         return ":" + self.name
@@ -135,7 +130,8 @@ class FunctionObject:
 
 
 class BuiltinFunction:
-    """Native primitive: ``fn`` takes (interpreter, args). Built strict-only."""
+    """Native primitive: ``fn`` takes (interpreter, args), or is None for
+    funcall, which Interpreter.apply resolves. Built strict-only."""
 
     __slots__ = ("name", "fn", "min_args", "max_args", "strict", "lazy")
 

@@ -322,6 +322,20 @@ class TestLambdaListBinding:
         v = to_py(interp.run("(rk :y 3)"))
         assert v == [[Keyword.intern("Y"), 3], 3]
 
+    def test_empty_key_section_still_takes_keyword_arguments(self, interp):
+        # &key with no parameters is not the same as no &key at all
+        interp.run("(defun rk (&rest r &key) r) (defun k (&key) 1)")
+        assert interp.run("(k)") == 1
+        for call, kind, message in [
+            ("(rk :a 1)", "unknown-keyword-argument", "RK does not accept the keyword :A"),
+            ("(k :a 1)", "unknown-keyword-argument", "K does not accept the keyword :A"),
+            ("(k :a)", "odd-keyword-arguments", "K received an odd number of keyword arguments"),
+        ]:
+            with pytest.raises(EvalError) as exc:
+                interp.run(call)
+            assert (exc.value.kind, exc.value.message) == (kind, message)
+        assert interp.run("(rk)") is NIL
+
     def test_duplicate_parameter_rejected(self, interp):
         with pytest.raises(EvalError) as exc:
             interp.run("(defun bad (x x) x)")
@@ -371,7 +385,7 @@ class TestBudgets:
         # not size, so the message must not advise raising it
         interp = Interpreter(recursion_limit=100_000)
         with pytest.raises(EvalError) as exc:
-            interp.run("(stream-take (integers-from 0) 3000)")
+            interp.run("(stream-take (integers-from 0) 30000)")
         assert exc.value.kind == "recursion-limit"
         assert "clz.core.on_big_stack" in exc.value.message
 
@@ -389,6 +403,25 @@ class TestBudgets:
         assert exc.value.kind == "recursion-limit"
         assert "raise the recursion limit" in exc.value.message
         assert on_big_stack(10_000, lambda: interp.run("(funcall f t)")) == 0
+
+    # Tail positions run in evaluate's own loop, so on the calling thread
+    # these reach the depth guard, or finish, before the host ceiling.
+    def test_long_stream_prefix_on_the_calling_thread(self):
+        value = Interpreter(recursion_limit=100_000).run("(stream-take (integers-from 0) 10000)")
+        assert to_py(value) == list(range(10_000))
+
+    def test_deep_funcall_recursion_on_the_calling_thread(self):
+        interp = Interpreter(recursion_limit=100_000, prelude=False)
+        interp.run("(defun down (n) (if (= n 0) 0 (+ 1 (funcall #'down (- n 1)))))")
+        assert interp.run("(down 5000)") == 5000
+
+    def test_tail_recursion_meets_the_depth_guard_not_the_host_limit(self):
+        interp = Interpreter(prelude=False)
+        interp.run("(defun down (n) (if (= n 0) 0 (down (- n 1))))")
+        with pytest.raises(EvalError) as exc:
+            interp.run("(down 20000)")
+        assert exc.value.message == "recursion depth exceeded the limit of 10000"
+        assert (exc.value.line, exc.value.col) == (1, 21)
 
     def test_interpreters_leave_the_host_recursion_limit_alone(self):
         found = sys.getrecursionlimit()

@@ -95,6 +95,16 @@ class TestDelayForce:
             interp_memo.run("(force y)")
         assert exc.value.kind == "reentrant-force"
 
+    def test_reentrant_force_in_a_tail_is_positioned_at_the_enclosing_form(self, interp_memo):
+        # x is read in a tail position, which adds no position of its own:
+        # the error takes the innermost list form's, the if or the call
+        interp_memo.run("(deflazy g (x)\n  (if t x 0))\n(deflazy h (x) x)")
+        for op, where in [("g", "2:3"), ("h", "1:24")]:
+            interp_memo.run(f"(defparameter y (delay (lazy-call '{op} y)))")
+            with pytest.raises(EvalError) as exc:
+                interp_memo.run("(force y)")
+            assert (exc.value.kind, exc.value.where()) == ("reentrant-force", where)
+
     def test_by_name_thunk_may_force_itself(self, interp):
         interp.run("(defparameter x (delay (if (< (tick!) 3) (+ 100 (force x)) 0)))")
         assert interp.run("(force x)") == 200

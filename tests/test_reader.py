@@ -196,6 +196,14 @@ class TestParse:
         with pytest.raises(ReadError):
             read_source("(')")
 
+    def test_lone_dot_is_an_error_at_the_dot(self):
+        # surface lists are proper: '(1 . 2) must not read as a list of three
+        for text, where in [("'(1 . 2)", (1, 5)), ("(a\n  . b)", (2, 3)), (".", (1, 1))]:
+            err = read_error(text)
+            assert err.message == "lone '.': dotted lists are not supported"
+            assert (err.line, err.col) == where
+        assert data(".a a.b ...") == [sym(".A"), sym("A.B"), sym("...")]
+
     def test_multiple_top_level_forms_in_order(self):
         forms = read_source("1 2 (3)")
         assert [type(f.datum) for f in forms] == [int, int, list]
