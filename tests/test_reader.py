@@ -177,6 +177,9 @@ class TestParse:
 
     def test_keywords_intern(self):
         assert one(":y").datum is Keyword.intern("Y")
+        # each class interns in its own table, and a keyword is no symbol
+        assert not isinstance(Keyword.intern("Y"), Symbol)
+        assert one("y").datum is Symbol.intern("Y") is not Keyword.intern("Y")
 
     def test_unclosed_list_points_at_innermost_open(self):
         with pytest.raises(ReadError) as exc:
