@@ -1,9 +1,9 @@
 """Command line: REPL by default, or run a file, or evaluate one string.
 
-Deep lazy structures force recursively, so evaluation runs on the
-big-stack thread of core.on_big_stack, sized for --recursion-limit;
-there each form gets the full host recursion ceiling. Exit codes: 0
-success, 1 evaluation or read error, 2 I/O error, 3 step limit.
+Evaluation runs on the main thread, so Ctrl-C reaches it: the REPL drops
+the running form and keeps the session; a file or --eval stops. Exit
+codes: 0 success, 1 evaluation or read error, 2 I/O error, 3 step limit,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import Interpreter, on_big_stack
+from .core import Interpreter
 from .errors import LispError, ReadError, StepLimitExceeded
 from .reader import read_source
 from .values import print_value
@@ -92,6 +92,9 @@ def _repl(interp: Interpreter) -> int:
             except LispError as err:
                 out.write(f"{err.kind} at {err.where()}: {err.message}\n")
                 break
+            except KeyboardInterrupt:
+                out.write("interrupted\n")
+                break
             out.write(print_value(value) + "\n")
 
 
@@ -105,10 +108,17 @@ def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:
         print(f"{origin}:{err.where()}: {err.kind}: {err.message}",
               file=sys.stderr)
         return 3 if isinstance(err, StepLimitExceeded) else 1
+    except KeyboardInterrupt:
+        print(f"{origin}: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.file is not None and args.eval_text is not None:
+        parser.error("give a FILE or --eval, not both")
     interp = Interpreter(
         memoize=args.memoize,
         step_limit=args.step_limit,
@@ -126,11 +136,3 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.eval_text is not None:
         return _run_text(interp, args.eval_text, "<eval>", echo=True)
     return _repl(interp)
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.file is not None and args.eval_text is not None:
-        parser.error("give a FILE or --eval, not both")
-    return on_big_stack(args.recursion_limit, lambda: _dispatch(args))

@@ -10,7 +10,6 @@ builds that frame.
 from __future__ import annotations
 
 import sys
-import threading
 
 from . import builtins as _builtins
 from .errors import EvalError, LispError, StepLimitExceeded, _malformed
@@ -35,43 +34,13 @@ from .values import (
 # 3.11 with a frame-counting builtin: none in tail recursion, 0.33 where a
 # strict, funcall or lazy-call recursion is an argument, 0.2 through
 # let/progn/ecase, 1.5 where a lazy frame reads a thunk over a symbol; a
-# stream-take element costs 1 frame for 3 units. A thread that on_big_stack
-# starts gets a ceiling of 24 frames per unit plus 5,000, and 2 KB of stack
-# per frame of it, within 512 MB to 2 GB. The surplus covers thunk-over-
-# symbol chains built across top-level forms, 3 uncounted frames per link.
-# The ceiling stops at 2**31 - 1, the most that sys.setrecursionlimit takes.
-# Any other thread keeps its stack, so its ceiling is 12,000: one of
-# 245,000 segfaults an 8 MB main thread.
-_FRAMES_PER_DEPTH, _BYTES_PER_FRAME, _MAX_CEILING = 24, 2048, 2**31 - 1
-_MIN_STACK, _MAX_STACK, _UNSIZED_CEILING = 512 << 20, 2 << 30, 12_000
-_sized = threading.local()  # .ceiling is set on threads on_big_stack starts
-
-
-def on_big_stack(recursion_limit: int, fn):
-    """Return or raise what ``fn()`` does on a new thread sized for
-    ``recursion_limit``, whose top-level forms get the full host ceiling."""
-    ceiling = min(recursion_limit * _FRAMES_PER_DEPTH + 5000, _MAX_CEILING)
-    outcome: dict = {}
-
-    def work():
-        _sized.ceiling = ceiling
-        try:
-            outcome["value"] = fn()
-        except BaseException as err:
-            outcome["error"] = err
-
-    old_stack = threading.stack_size(min(max(_MIN_STACK, ceiling * _BYTES_PER_FRAME), _MAX_STACK))
-    try:
-        worker = threading.Thread(target=work, name="clz-eval")
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old_stack)
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
+# stream-take element costs 1 frame for 3 units. Each top-level form gets a
+# ceiling of 24 frames per unit plus 5,000, on whatever thread runs it: from
+# Python 3.11 a Python-to-Python call takes no C stack, so the thread's stack
+# size does not bound the ceiling. The surplus covers thunk-over-symbol
+# chains built across top-level forms, 3 uncounted frames per link. The
+# ceiling stops at 2**31 - 1, the most that sys.setrecursionlimit takes.
+_FRAMES_PER_DEPTH, _MAX_CEILING = 24, 2**31 - 1
 _MISSING = object()
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
 
@@ -97,8 +66,9 @@ class Interpreter:
 
     Instances are independent and single-threaded; never share one across
     threads. Construction changes no process state; each top-level form
-    raises the process-wide host recursion ceiling to its thread's while
-    it runs, so no two interpreters may evaluate on two threads at once.
+    raises the process-wide host recursion ceiling to the one its
+    ``recursion_limit`` needs while it runs, on the calling thread, so no
+    two interpreters may evaluate on two threads at once.
     ``memoize`` selects call-by-need thunks instead of the default
     call-by-name. ``step_limit`` bounds evaluator steps plus loop
     iterations per top-level form; ``recursion_limit`` bounds nested
@@ -143,18 +113,15 @@ class Interpreter:
         self._steps = 0
         self._depth = 0
         found = sys.getrecursionlimit()
-        sized = vars(_sized).get("ceiling")
-        ceiling = sized or _UNSIZED_CEILING
+        ceiling = self.recursion_limit * _FRAMES_PER_DEPTH + 5000
         if ceiling > found:
-            sys.setrecursionlimit(ceiling)
+            sys.setrecursionlimit(min(ceiling, _MAX_CEILING))
         try:
             return self.evaluate(form, self.global_env)
         except RecursionError:
-            remedy = ("raise the recursion limit" if sized else
-                      "evaluate on a thread from clz.core.on_big_stack")
             raise EvalError(
                 "host recursion limit hit (deep nesting or forcing); "
-                f"lower the program's depth or {remedy}",
+                "lower the program's depth or raise the recursion limit",
                 form.line, form.col, kind="recursion-limit") from None
         finally:
             sys.setrecursionlimit(found)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior via subprocesses."""
 
+import signal
 import subprocess
 import sys
 
@@ -240,8 +241,9 @@ class TestFlags:
                                "recursion depth exceeded the limit of 3000\n")
 
     def test_deep_forcing_within_default_limits(self, tmp_path):
-        # forcing 2000 stream cells nests evaluation deeply; the runner's
-        # big-stack evaluation thread absorbs it
+        # forcing 2000 stream cells nests evaluation deeply; the host
+        # ceiling the default --recursion-limit sets absorbs it on the
+        # main thread
         path = script(tmp_path, """
 (defun last-of (s n) (if (= n 0) (head s) (last-of (tail s) (- n 1))))
 (print (last-of (integers-from 0) 2000))
@@ -265,3 +267,51 @@ class TestFlags:
         proc = run_clz("--recursion-limit", "20000", path)
         assert proc.returncode == 0
         assert proc.stdout == "0\n"
+
+
+class TestInterrupt:
+    """SIGINT while a form runs: the REPL keeps its session, a file or
+    --eval stops with one line on stderr and exit code 130."""
+
+    LOOP = "(progn (print 'go) (loop))"
+
+    def start(self, *args):
+        # unbuffered, so GO arrives as soon as the loop is about to run
+        return subprocess.Popen(
+            [sys.executable, "-u", "-m", "clz", "--step-limit", "2000000000", *args],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True)
+
+    def interrupt_after_go(self, proc):
+        assert proc.stdout.readline().endswith("GO\n")
+        proc.send_signal(signal.SIGINT)
+
+    def test_repl_drops_the_form_and_keeps_the_session(self):
+        proc = self.start()
+        try:
+            proc.stdin.write(self.LOOP + "\n")
+            proc.stdin.flush()
+            self.interrupt_after_go(proc)
+            out, err = proc.communicate("(+ 1 2)\n", timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert out == "interrupted\nclz> 3\nclz> \n"
+        assert err == ""
+
+    @pytest.mark.parametrize("mode", ["file", "eval"])
+    def test_file_and_eval_stop_with_exit_130(self, tmp_path, mode):
+        if mode == "file":
+            origin = script(tmp_path, self.LOOP + "\n(print 'after)\n")
+            proc = self.start(origin)
+        else:
+            origin = "<eval>"
+            proc = self.start("--eval", self.LOOP + " (print 'after)")
+        try:
+            self.interrupt_after_go(proc)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130
+        assert out == ""
+        assert err == f"{origin}: interrupted\n"

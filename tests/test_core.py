@@ -1,6 +1,7 @@
 """Evaluator: atoms, special forms, application, binding, budgets."""
 
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from clz import (
     T,
     print_value,
 )
-from clz.core import on_big_stack
 from clz.reader import read_source
 from tests.conftest import to_py
 
@@ -371,38 +371,50 @@ class TestBudgets:
         assert interp.run("(down 400)") == 0
 
     def test_host_recursion_error_is_tagged(self):
-        # deep enough to exhaust the host stack before the configured
-        # depth guard fires; the failure must still carry the same kind,
-        # and the interpreter must stay usable afterwards
+        # 3 depth units per stream element: under the default limits the
+        # depth guard stops this long before the host ceiling would; the
+        # failure carries the recursion-limit kind, and the interpreter
+        # stays usable afterwards
         interp = Interpreter()
         with pytest.raises(EvalError) as exc:
             interp.run("(stream-take (integers-from 0) 30000)")
         assert exc.value.kind == "recursion-limit"
         assert interp.run("(+ 1 1)") == 2
 
-    def test_host_limit_on_an_unsized_thread_names_on_big_stack(self):
-        # the recursion limit cannot raise the ceiling of a thread clz did
-        # not size, so the message must not advise raising it
-        interp = Interpreter(recursion_limit=100_000)
-        with pytest.raises(EvalError) as exc:
-            interp.run("(stream-take (integers-from 0) 30000)")
-        assert exc.value.kind == "recursion-limit"
-        assert "clz.core.on_big_stack" in exc.value.message
-
-    def test_host_limit_on_a_sized_thread_names_the_recursion_limit(self):
+    def test_host_limit_names_the_recursion_limit(self):
         # a chain of thunks over a symbol, each in the lazy frame of the
         # one before, built across top-level forms: forcing its end nests
-        # three host frames per link, none of which the depth guard counts
+        # three host frames per link, none of which the depth guard counts,
+        # so only the host ceiling that the recursion limit sets stops it
         interp = Interpreter(recursion_limit=10, prelude=False)
         interp.run("(deflazy link (x) (lambda (k) (if k x (lazy-call 'link x))))")
         interp.run("(defparameter f (lazy-call 'link 0))")
         for _ in range(2500):
             interp.run("(defparameter f (funcall f nil))")
         with pytest.raises(EvalError) as exc:
-            on_big_stack(10, lambda: interp.run("(funcall f t)"))
+            interp.run("(funcall f t)")
         assert exc.value.kind == "recursion-limit"
         assert "raise the recursion limit" in exc.value.message
-        assert on_big_stack(10_000, lambda: interp.run("(funcall f t)")) == 0
+        interp.recursion_limit = 10_000
+        assert interp.run("(funcall f t)") == 0
+
+    def test_deep_forcing_on_a_thread_with_a_small_stack(self):
+        # a Python-to-Python call takes no C stack, so any thread gets the
+        # ceiling its recursion limit sets, whatever the thread's stack size
+        outcome = {}
+
+        def work():
+            interp = Interpreter(recursion_limit=100_000)
+            outcome["value"] = interp.run("(stream-take (integers-from 0) 30000)")
+
+        old_size = threading.stack_size(256 * 1024)
+        try:
+            worker = threading.Thread(target=work)
+            worker.start()
+            worker.join()
+        finally:
+            threading.stack_size(old_size)
+        assert to_py(outcome["value"]) == list(range(30_000))
 
     # Tail positions run in evaluate's own loop, so on the calling thread
     # these reach the depth guard, or finish, before the host ceiling.
