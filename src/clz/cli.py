@@ -1,9 +1,9 @@
 """Command line: REPL by default, or run a file, or evaluate one string.
 
 Evaluation runs on the main thread, so Ctrl-C reaches it: the REPL drops
-the running form and keeps the session; a file or --eval stops. Exit
-codes: 0 success, 1 evaluation or read error, 2 I/O error, 3 step limit,
-130 interrupted.
+the running or the unclosed form and keeps the session; a file or --eval
+stops. Exit codes: 0 success, 1 evaluation or read error, 2 I/O error,
+3 step limit, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -54,48 +54,50 @@ def _repl(interp: Interpreter) -> int:
     A form left open at the end of a line (an incomplete read) is
     continued on the next lines. If EOF comes first, its read-error is
     printed, and the lines after the one it began on are read again.
+    Ctrl-C drops the running form or an unclosed one, and prompts again.
     """
     out = sys.stdout
     lines: list[str] = []   # the lines of a form not yet closed
     replay: list[str] = []  # lines read again after an unclosed form
     pending = None          # the read-error that keeps ``lines`` open
     while True:
-        if replay:
-            line = replay.pop(0)
-        else:
-            out.write("...  " if lines else "clz> ")
-            out.flush()
-            line = sys.stdin.readline()
-        if line == "":
-            if not lines:
-                out.write("\n")
-                return 0
-            out.write(f"{pending.kind} at {pending.where()}: {pending.message}\n")
-            replay, lines = lines[1:], []
-            continue
-        if not lines and not line.strip():
-            continue
-        lines.append(line)
         try:
-            forms = read_source("".join(lines))
-        except ReadError as err:
-            if err.incomplete:
-                pending = err
+            if replay:
+                line = replay.pop(0)
             else:
-                out.write(f"{err.kind} at {err.where()}: {err.message}\n")
-                lines = []
-            continue
-        lines = []
-        for form in forms:
+                out.write("...  " if lines else "clz> ")
+                out.flush()
+                line = sys.stdin.readline()
+            if line == "":
+                if not lines:
+                    out.write("\n")
+                    return 0
+                out.write(f"{pending.kind} at {pending.where()}: {pending.message}\n")
+                replay, lines = lines[1:], []
+                continue
+            if not lines and not line.strip():
+                continue
+            lines.append(line)
             try:
-                value = interp.eval_top(form)
-            except LispError as err:
-                out.write(f"{err.kind} at {err.where()}: {err.message}\n")
-                break
-            except KeyboardInterrupt:
-                out.write("interrupted\n")
-                break
-            out.write(print_value(value) + "\n")
+                forms = read_source("".join(lines))
+            except ReadError as err:
+                if err.incomplete:
+                    pending = err
+                else:
+                    out.write(f"{err.kind} at {err.where()}: {err.message}\n")
+                    lines = []
+                continue
+            lines = []
+            for form in forms:
+                try:
+                    value = interp.eval_top(form)
+                except LispError as err:
+                    out.write(f"{err.kind} at {err.where()}: {err.message}\n")
+                    break
+                out.write(print_value(value) + "\n")
+        except KeyboardInterrupt:  # at the prompt, or while a form runs
+            out.write("interrupted\n")
+            lines = []
 
 
 def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:

@@ -29,18 +29,13 @@ from .values import (
     print_value,
 )
 
-# The host stack: forcing, arguments and conditions nest evaluation on it;
-# tails do not. Host frames per unit of the depth guard, measured on Python
-# 3.11 with a frame-counting builtin: none in tail recursion, 0.33 where a
-# strict, funcall or lazy-call recursion is an argument, 0.2 through
-# let/progn/ecase, 1.5 where a lazy frame reads a thunk over a symbol; a
-# stream-take element costs 1 frame for 3 units. Each top-level form gets a
-# ceiling of 24 frames per unit plus 5,000, on whatever thread runs it: from
-# Python 3.11 a Python-to-Python call takes no C stack, so the thread's stack
-# size does not bound the ceiling. The surplus covers thunk-over-symbol
-# chains built across top-level forms, 3 uncounted frames per link. The
-# ceiling stops at 2**31 - 1, the most that sys.setrecursionlimit takes.
-_FRAMES_PER_DEPTH, _MAX_CEILING = 24, 2**31 - 1
+# The host stack: each host recursion passes through a list form that the
+# depth guard counts; force follows thunks over variables in its own loop.
+# Measured on Python 3.11, the most host frames per unit of depth is 4, in
+# strict &optional default recursion: evaluate, apply, bind_lambda_list,
+# _bind_param. A Python-to-Python call takes no C stack, so any thread may
+# take the ceiling; sys.setrecursionlimit takes at most 2**31 - 1.
+_FRAMES_PER_DEPTH, _MAX_CEILING = 4, 2**31 - 1
 _MISSING = object()
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
 
@@ -65,10 +60,10 @@ class Interpreter:
     """One evaluation universe: bindings, counters, budgets.
 
     Instances are independent and single-threaded; never share one across
-    threads. Construction changes no process state; each top-level form
-    raises the process-wide host recursion ceiling to the one its
-    ``recursion_limit`` needs while it runs, on the calling thread, so no
-    two interpreters may evaluate on two threads at once.
+    threads. Construction changes no process state; while a top-level form
+    runs, the process-wide host recursion limit is raised by 4 frames per
+    unit of ``recursion_limit``, so no two interpreters may evaluate on two
+    threads at once.
     ``memoize`` selects call-by-need thunks instead of the default
     call-by-name. ``step_limit`` bounds evaluator steps plus loop
     iterations per top-level form; ``recursion_limit`` bounds nested
@@ -113,9 +108,7 @@ class Interpreter:
         self._steps = 0
         self._depth = 0
         found = sys.getrecursionlimit()
-        ceiling = self.recursion_limit * _FRAMES_PER_DEPTH + 5000
-        if ceiling > found:
-            sys.setrecursionlimit(min(ceiling, _MAX_CEILING))
+        sys.setrecursionlimit(min(found + self.recursion_limit * _FRAMES_PER_DEPTH, _MAX_CEILING))
         try:
             return self.evaluate(form, self.global_env)
         except RecursionError:
@@ -183,12 +176,13 @@ class Interpreter:
         finally:
             self._depth = depth
 
-    def lookup(self, symbol: Symbol, env: Environment, form: Form | None = None):
+    def lookup(self, symbol: Symbol, env: Environment, form: Form | None = None, follow=True):
+        """``symbol``'s value; a lazy slot's thunk is forced only if ``follow``."""
         frame = env
         while frame is not None:
             slot = frame.vars.get(symbol, _MISSING)
             if slot is not _MISSING:
-                if frame.lazy and type(slot) is Thunk:
+                if frame.lazy and follow and type(slot) is Thunk:
                     return force(self, slot)
                 return slot
             frame = frame.parent

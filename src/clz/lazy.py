@@ -27,6 +27,8 @@ def delay(interp, form: Form, env) -> Thunk:
 def force(interp, value):
     """Resolve thunk chains to a plain value; identity on non-thunks.
 
+    A thunk over a variable costs the step evaluate would charge, then its
+    slot, unforced, goes round this loop: such a chain nests no host frames.
     Every memoizing thunk along the chain is backfilled with the final
     value, so a memo cell never holds another thunk. While its value is
     being computed a memoizing thunk is marked, and forcing it again from
@@ -49,7 +51,13 @@ def force(interp, value):
                 if pending is None:
                     pending = []
                 pending.append(t)
-            value = interp.evaluate(t.expr, t.env)
+            if type(t.expr.datum) is not Symbol:
+                value = interp.evaluate(t.expr, t.env)
+                continue
+            interp._steps += 1
+            if interp._steps > interp.step_limit:
+                raise interp._out_of_steps(t.expr)
+            value = interp.lookup(t.expr.datum, t.env, t.expr, follow=False)
     except BaseException:
         if pending is not None:
             for t in pending:

@@ -155,10 +155,6 @@ def cons_list(items: list):
     return result
 
 
-def _escape_string(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def print_value(value) -> str:
     """Readable rendering of a value.
 
@@ -172,7 +168,7 @@ def print_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return '"' + _escape_string(value) + '"'
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(value, Symbol):
         return value.name
     if isinstance(value, Keyword):

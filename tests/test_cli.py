@@ -253,8 +253,8 @@ class TestFlags:
         assert proc.stdout == "2000\n"
 
     def test_huge_recursion_limit_is_accepted(self):
-        # 24 host frames per unit would pass the largest C int
-        proc = run_clz("--recursion-limit", "100000000", "--eval", "(+ 1 2)")
+        # 4 host frames per unit would pass the largest C int
+        proc = run_clz("--recursion-limit", "1000000000", "--eval", "(+ 1 2)")
         assert proc.returncode == 0
         assert proc.stdout == "3\n"
         assert proc.stderr == ""
@@ -270,8 +270,9 @@ class TestFlags:
 
 
 class TestInterrupt:
-    """SIGINT while a form runs: the REPL keeps its session, a file or
-    --eval stops with one line on stderr and exit code 130."""
+    """SIGINT while a form runs or the REPL waits at its prompt: the REPL
+    keeps its session, a file or --eval stops with one line on stderr and
+    exit code 130."""
 
     LOOP = "(progn (print 'go) (loop))"
 
@@ -292,6 +293,23 @@ class TestInterrupt:
             proc.stdin.write(self.LOOP + "\n")
             proc.stdin.flush()
             self.interrupt_after_go(proc)
+            out, err = proc.communicate("(+ 1 2)\n", timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert out == "interrupted\nclz> 3\nclz> \n"
+        assert err == ""
+
+    @pytest.mark.parametrize("typed, prompts", [("", "clz> "), ("(+ 1\n", "clz> ...  ")],
+                             ids=["empty", "unclosed-form"])
+    def test_repl_at_its_prompt_drops_the_lines_and_prompts_again(self, typed, prompts):
+        proc = self.start()
+        try:
+            proc.stdin.write(typed)
+            proc.stdin.flush()
+            # the last prompt is written just before readline waits
+            assert proc.stdout.read(len(prompts)) == prompts
+            proc.send_signal(signal.SIGINT)
             out, err = proc.communicate("(+ 1 2)\n", timeout=60)
         finally:
             proc.kill()

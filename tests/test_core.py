@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from clz import (
     NIL,
+    BuiltinFunction,
     DivergenceError,
     EvalError,
     Interpreter,
@@ -381,22 +382,69 @@ class TestBudgets:
         assert exc.value.kind == "recursion-limit"
         assert interp.run("(+ 1 1)") == 2
 
-    def test_host_limit_names_the_recursion_limit(self):
-        # a chain of thunks over a symbol, each in the lazy frame of the
-        # one before, built across top-level forms: forcing its end nests
-        # three host frames per link, none of which the depth guard counts,
-        # so only the host ceiling that the recursion limit sets stops it
-        interp = Interpreter(recursion_limit=10, prelude=False)
-        interp.run("(deflazy link (x) (lambda (k) (if k x (lazy-call 'link x))))")
+    @pytest.mark.parametrize("memoize", [False, True], ids=["by-name", "by-need"])
+    @pytest.mark.parametrize("link", [
+        "(deflazy link (x) (lambda (k) (if k x (lazy-call 'link x))))",
+        "(deflazy link (x &optional (y x)) (lambda (k) (if k y (lazy-call 'link y))))",
+    ], ids=["across-forms", "optional-default"])
+    def test_chains_of_thunks_over_variables_cost_no_depth(self, link, memoize):
+        # a chain of thunks over a variable, each in the lazy frame of the
+        # one before, built across top-level forms: force follows it in its
+        # own loop, so forcing its end needs neither depth nor host stack
+        interp = Interpreter(memoize=memoize, recursion_limit=10, prelude=False)
+        interp.run(link)
         interp.run("(defparameter f (lazy-call 'link 0))")
         for _ in range(2500):
             interp.run("(defparameter f (funcall f nil))")
-        with pytest.raises(EvalError) as exc:
-            interp.run("(funcall f t)")
-        assert exc.value.kind == "recursion-limit"
-        assert "raise the recursion limit" in exc.value.message
-        interp.recursion_limit = 10_000
         assert interp.run("(funcall f t)") == 0
+        assert interp.run("(funcall f t)") == 0
+
+    def test_host_recursion_error_names_the_recursion_limit(self):
+        def blow(interp, args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        interp = Interpreter(prelude=False)
+        name = Symbol.intern("BLOW")
+        interp.global_env.vars[name] = BuiltinFunction(name, blow, 0, 0)
+        found = sys.getrecursionlimit()
+        with pytest.raises(EvalError) as exc:
+            interp.run("1\n  (progn (+ 1 (blow)))")
+        assert exc.value.kind == "recursion-limit"
+        assert exc.value.message == ("host recursion limit hit (deep nesting or forcing); "
+                                     "lower the program's depth or raise the recursion limit")
+        assert (exc.value.line, exc.value.col) == (2, 3)
+        assert sys.getrecursionlimit() == found
+        assert interp.run("(+ 1 1)") == 2
+
+    # Each runaway construction nests at most 4 host frames per unit of
+    # depth, the ceiling eval_top sets, so the depth guard stops every one.
+    @pytest.mark.parametrize("setup, program", [
+        ("(defun f (n) (+ 1 (f n)))", "(f 1)"),
+        ("(defun f (n) (+ 1 (funcall #'f n)))", "(f 1)"),
+        ("(defun d (&optional (x (d))) x)", "(d)"),
+        ("(deflazy d (&optional (x (lazy-call 'd))) x)", "(lazy-call 'd)"),
+        ("(defun f () (lazy-call (lazy #'+) 1 (f)))", "(f)"),
+        ("(deflazy k (&key a) a) (defun f () (lazy-call 'k (f) 1))", "(f)"),
+        ("(deflazy g (x) #'x) (defun f () (lazy-call 'g (f)))", "(f)"),
+        ("(defun f () (force (delay (f))))", "(f)"),
+        ("(defun f () (if (f) 1 2))", "(f)"),
+        ("(defun f () (let ((x (f))) x))", "(f)"),
+        ("(defun f () (ecase (f) (a 1)))", "(f)"),
+        ("(defun f () (defparameter p (f)))", "(f)"),
+        ("(defun f () (lazy (f)))", "(f)"),
+        ("(defun f () (lazy-call (f)))", "(f)"),
+        ("", "(" * 50_000 + ")" * 50_000),
+    ], ids=["argument", "funcall-argument", "strict-optional-default",
+            "lazy-optional-default", "lazy-builtin", "key-marker",
+            "function-of-a-lazy-slot", "force-delay", "if-test", "let-initializer",
+            "ecase-key", "defparameter-value", "lazy", "lazy-call-operator",
+            "nested-parens"])
+    def test_runaway_recursion_meets_the_depth_guard(self, setup, program):
+        interp = Interpreter(recursion_limit=5000, prelude=False)
+        interp.run(setup)
+        with pytest.raises(EvalError) as exc:
+            interp.run(program)
+        assert exc.value.message == "recursion depth exceeded the limit of 5000"
 
     def test_deep_forcing_on_a_thread_with_a_small_stack(self):
         # a Python-to-Python call takes no C stack, so any thread gets the

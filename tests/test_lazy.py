@@ -111,6 +111,45 @@ class TestDelayForce:
         assert interp.tick_count == 3
 
 
+    # A chain of thunks over a variable, one link per top-level form; force
+    # follows it in one loop, and the memo rules hold along all of it.
+    LINK = "(deflazy link (x) (lambda (k) (if k x (lazy-call 'link x))))"
+    X = Symbol.intern("X")
+
+    def chain(self, interp, root, links=1000):
+        interp.run(self.LINK)
+        first = interp.run(f"(defparameter f (lazy-call 'link {root}))")
+        first = interp.global_env.vars[first].closure.vars[self.X]
+        for _ in range(links):
+            interp.run("(defparameter f (funcall f nil))")
+        last = interp.global_env.vars[Symbol.intern("F")].closure.vars[self.X]
+        return first, last
+
+    @pytest.mark.parametrize("memoize, ticks", [(False, 2), (True, 1)],
+                             ids=["by-name", "by-need"])
+    def test_a_chain_over_variables_runs_its_root_once_by_need(self, memoize, ticks):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        first, last = self.chain(interp, "(tick!)")
+        assert interp.run("(funcall f t)") == 1
+        assert interp.run("(funcall f t)") == ticks
+        assert interp.tick_count == ticks
+        # by need, every memo cell on the chain, root and end, holds the value
+        assert (first.done, last.done) == (memoize, memoize)
+        if memoize:
+            assert (first.value, last.value) == (1, 1)
+
+    def test_a_chain_whose_root_forces_its_end_is_reentrant_force(self):
+        interp = Interpreter(memoize=True, prelude=False)
+        first, last = self.chain(interp, "(progn (tick!) (funcall f t))")
+        for ticks in (1, 2):
+            with pytest.raises(EvalError) as exc:
+                interp.run("(funcall f t)")
+            assert exc.value.kind == "reentrant-force"
+            # the failed force reset the chain, so the next one runs it again
+            assert interp.tick_count == ticks
+            assert not (first.done or first.forcing or last.done or last.forcing)
+
+
 class TestDeflazy:
     def test_returns_name_and_installs_both_halves(self, interp):
         assert interp.run("(deflazy si (c e a) (if c e a))") is Symbol.intern("SI")
