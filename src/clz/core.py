@@ -99,10 +99,6 @@ class Interpreter:
             result = self.eval_top(form)
         return result
 
-    def run_file(self, path: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            return self.run(fh.read())
-
     def eval_top(self, form: Form):
         """Evaluate one top-level form with fresh step/depth budgets."""
         self._steps = 0

@@ -1,13 +1,15 @@
-"""The reader: source text in, positioned forms out, in one pass.
+"""The reader: source text in, positioned forms out, in one scan.
 
 Surface syntax: symbols (case-insensitive, canonicalized upper), keywords
 (:name), signed 64-bit integer literals ([+-]?[0-9]+), double-quoted
 strings with \\" and \\\\ escapes, t / nil, ' and #' sugar, proper lists,
 and ; comments.
 
-One compiled regex matches the lexeme at the current position, and one
-loop builds forms from it, keeping open lists and quote marks on an
-explicit stack, so nesting depth costs no host recursion.
+One compiled regex, run once over the text with finditer, yields each
+lexeme together with the blanks in front of it, and one loop builds forms
+from the matches, keeping open lists and quote marks on an explicit
+stack, so nesting depth costs no host recursion. Atom text resolves
+through one table from spelling to datum, filled as atoms first read.
 """
 
 from __future__ import annotations
@@ -24,17 +26,21 @@ _STRING_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # the only escapes are \" and \\
 # character is diagnosed where it stands.
 _ATOM_END = r"""(?![^ \t\r\n()'";#])"""
 
-# One group per lexeme class; m.lastindex says which one matched.
+# Blanks, then one group per lexeme class, the most frequent first;
+# m.lastindex says which one matched. Trailing blanks match with no group,
+# and a character where no lexeme starts matches the last group alone.
 _LEXEME = re.compile(
-    r"([ \t\r]+|;[^\n]*)"                   # 1 blanks or a comment
-    r"|(\n[ \t\r]*)"                        # 2 a newline and the indentation after it
-    r"|(\()"                                # 3
-    r"|(\))"                                # 4
-    r"|('|#')"                              # 5 quote marks
-    r'|"(' + _STRING_BODY + ')"'            # 6 a string's body
-    r"|([+-]?[0-9]+)" + _ATOM_END +         # 7 an integer literal
-    r"""|([^\x00-\x20()'";#]+)""" + _ATOM_END)  # 8 any other atom
-_BLANK, _NEWLINE, _OPEN, _CLOSE, _QUOTE, _STRING, _INTEGER, _ATOM = range(1, 9)
+    r"[ \t\r]*(?:"
+    r"(\()"                                 # 1
+    r"|(\))"                                # 2
+    r"|([+-]?[0-9]+)" + _ATOM_END +         # 3 an integer literal
+    r"""|([^\x00-\x20()'";#]+)""" + _ATOM_END +  # 4 any other atom
+    r"|(\n)"                                # 5
+    r"|(;[^\n]*)"                           # 6 a comment
+    r"|('|#')"                              # 7 quote marks
+    r'|("' + _STRING_BODY + '")'            # 8 a string, quotes included
+    r"|\Z|(.))", re.DOTALL)                 # 9 no lexeme starts here
+_OPEN, _CLOSE, _INTEGER, _ATOM, _NEWLINE, _COMMENT, _QUOTE, _STRING, _ILLEGAL = range(1, 10)
 
 # The longest prefix of a string literal that is still well formed.
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
@@ -42,6 +48,12 @@ _ESCAPE = re.compile(r'\\(["\\])')
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 _QUOTE_MARKS = {"'": Symbol.intern("QUOTE"), "#'": Symbol.intern("FUNCTION")}
+
+# Each atom spelling read so far, mapped to its datum. Lone : and . raise
+# and are never stored; integers are not atoms here. Like the intern tables
+# whose entries it holds, it lives as long as the process and grows only
+# with distinct spellings.
+_ATOMS: dict[str, object] = {}
 
 
 class Form:
@@ -78,69 +90,57 @@ def read_source(text: str) -> list[Form]:
     items = forms   # the list the next finished form joins
     mark = None     # ' or #' while a quote mark awaits its form
     stack = []      # (items, mark, line, col) saved by each open ( or mark
-    line, line_start, pos, n = 1, 0, 0, len(text)
-    match = _LEXEME.match
-    while pos < n:
-        m = match(text, pos)
-        if m is None:
-            raise _diagnose(text, pos)
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
         kind = m.lastindex
-        if kind == _BLANK:
-            pos = m.end()
-            continue
-        if kind == _NEWLINE:
-            line += 1
-            line_start = pos + 1
-            pos = m.end()
-            continue
-        col = pos - line_start + 1
-        if kind == _ATOM:
-            name = m.group(_ATOM).upper()
-            if name[0] == ":":
-                if len(name) == 1:
-                    raise ReadError("lone ':' is not a keyword", line, col)
-                datum = Keyword.intern(name[1:])
-            elif name == ".":
-                raise ReadError("lone '.': dotted lists are not supported", line, col)
-            elif name == "T":
-                datum = T
-            elif name == "NIL":
-                datum = NIL
-            else:
-                datum = Symbol.intern(name)
-            form = Form(datum, line, col)
-        elif kind == _OPEN:
-            stack.append((items, mark, line, col))
+        if kind == _OPEN:   # a ( or ) is the last character matched
+            stack.append((items, mark, line, m.end() - line_start))
             items, mark = [], None
-            pos += 1
             continue
         elif kind == _CLOSE:
             if mark is not None:
-                raise ReadError(f"{mark} with no following form", line, col)
+                raise ReadError(f"{mark} with no following form", line, m.end() - line_start)
             if not stack:
-                raise ReadError("unbalanced close parenthesis", line, col)
+                raise ReadError("unbalanced close parenthesis", line, m.end() - line_start)
             datum = items or NIL
             items, mark, line0, col0 = stack.pop()
             form = Form(datum, line0, col0)
-        elif kind == _QUOTE:
-            stack.append((items, mark, line, col))
-            items, mark = None, m.group(_QUOTE)
-            pos = m.end()
-            continue
         elif kind == _INTEGER:
             lexeme = m.group(_INTEGER)
             value = int(lexeme)
+            col = m.start(_INTEGER) - line_start + 1
             if not INT_MIN <= value <= INT_MAX:
                 raise ReadError(f"integer literal {lexeme} outside the 64-bit signed range",
                                 line, col)
             form = Form(value, line, col)
+        elif kind == _ATOM:
+            name = m.group(_ATOM)
+            col = m.start(_ATOM) - line_start + 1
+            try:
+                datum = _ATOMS[name]
+            except KeyError:
+                datum = _ATOMS[name] = _atom_datum(name.upper(), line, col)
+            form = Form(datum, line, col)
+        elif kind == _NEWLINE:
+            line += 1
+            line_start = m.end()
+            continue
+        elif kind == _COMMENT:
+            continue
+        elif kind == _QUOTE:
+            stack.append((items, mark, line, m.start(_QUOTE) - line_start + 1))
+            items, mark = None, m.group(_QUOTE)
+            continue
+        elif kind == _STRING:
+            lexeme = m.group(_STRING)
+            form = Form(_ESCAPE.sub(r"\1", lexeme[1:-1]), line, m.start(_STRING) - line_start + 1)
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = text.rindex("\n", 0, m.end()) + 1
+        elif kind == _ILLEGAL:
+            raise _diagnose(text, m.start(_ILLEGAL))
         else:
-            body = m.group(_STRING)
-            form = Form(_ESCAPE.sub(r"\1", body), line, col)
-            if "\n" in body:
-                line += body.count("\n")
-                line_start = text.rindex("\n", pos, m.end()) + 1
-        pos = m.end()
+            continue    # the blanks at the end of the text
         # A finished form completes every quote mark waiting for it.
         while mark is not None:
             head = _QUOTE_MARKS[mark]
@@ -152,6 +152,17 @@ def read_source(text: str) -> list[Form]:
         message = "unclosed parenthesis" if mark is None else f"{mark} with no following form"
         raise ReadError(message, line0, col0, incomplete=True)
     return forms
+
+
+def _atom_datum(name: str, line: int, col: int):
+    """The datum an upper-cased atom other than an integer denotes."""
+    if name[0] == ":":
+        if len(name) == 1:
+            raise ReadError("lone ':' is not a keyword", line, col)
+        return Keyword.intern(name[1:])
+    if name == ".":
+        raise ReadError("lone '.': dotted lists are not supported", line, col)
+    return T if name == "T" else NIL if name == "NIL" else Symbol.intern(name)
 
 
 def _diagnose(text: str, pos: int) -> ReadError:

@@ -1,6 +1,7 @@
 """Reader (lexemes, forms, positions, errors) and printer behavior."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,22 @@ class TestTokenize:
         assert err.message == "' with no following form"
         assert (err.line, err.col) == (1, 3)
 
+    def test_an_atom_read_before_does_not_change_how_an_integer_reads(self):
+        assert data("1+") == [sym("1+")]
+        assert data("+1") == [1]
+        assert data("(1+ +1)") == [[sym("1+"), 1]]
+
+    def test_blanks_before_a_lexeme_leave_its_position(self):
+        err = read_error("  \x0b")
+        assert err.message == "illegal character (codepoint 11)"
+        assert (err.line, err.col) == (1, 3) and not err.incomplete
+        err = read_error("(a\t#b)")
+        assert err.message == "illegal character '#' (only #' is supported)"
+        assert (err.line, err.col) == (1, 4)
+        err = read_error(' \n  "abc')
+        assert err.message == "unterminated string literal"
+        assert (err.line, err.col) == (2, 3) and err.incomplete
+
 
 class TestParse:
     def test_list_form_shape(self):
@@ -206,6 +223,22 @@ class TestParse:
             assert err.message == "lone '.': dotted lists are not supported"
             assert (err.line, err.col) == where
         assert data(".a a.b ...") == [sym(".A"), sym("A.B"), sym("...")]
+
+    def test_every_spelling_of_an_atom_reads_as_one_datum(self):
+        # each spelling twice, so that the second read finds it already seen
+        for spellings, datum in [("foo FOO Foo", sym("FOO")), (":k :K", Keyword.intern("K")),
+                                 ("t T", T), ("nil Nil", NIL)]:
+            for _ in range(2):
+                for text in spellings.split():
+                    assert one(text).datum is datum
+
+    def test_lone_colon_and_dot_raise_on_every_read(self):
+        for text, message in [(":", "lone ':' is not a keyword"),
+                              (".", "lone '.': dotted lists are not supported")]:
+            for source, where in [(text, (1, 1)), (f"(a\n {text})", (2, 2)), (text, (1, 1))]:
+                err = read_error(source)
+                assert err.message == message and not err.incomplete
+                assert (err.line, err.col) == where
 
     def test_multiple_top_level_forms_in_order(self):
         forms = read_source("1 2 (3)")
@@ -353,6 +386,18 @@ _FORM_SOURCES = st.recursive(
 )
 
 
+# Blanks, comments and strings that span lines, to put between forms.
+_BLANK_RUNS = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "; note (\n", '"x\ny"', '"\n"']),
+                       max_size=5).map("".join)
+
+_SPACED_SOURCES = st.lists(
+    st.tuples(_BLANK_RUNS, st.sampled_from(" \t\r\n"), _FORM_SOURCES), min_size=1, max_size=4,
+).map(lambda parts: "".join(blanks + gap + form for blanks, gap, form in parts))
+
+_ATOM_LEXEME = re.compile(r"""[^ \t\r\n()'";#]+""")
+_STRING_LEXEME = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
 def same_value(a, b):
     if isinstance(a, Cons) and isinstance(b, Cons):
         return same_value(a.car, b.car) and same_value(a.cdr, b.cdr)
@@ -383,3 +428,30 @@ class TestReaderProperties:
         forms = read_source(text)
         assert forms
         assert_round_trips(forms)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_SPACED_SOURCES)
+    def test_every_form_is_positioned_at_the_first_character_of_its_lexeme(self, text):
+        line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+        pending = read_source(text)
+        assert pending
+        while pending:
+            form = pending.pop()
+            at = line_starts[form.line - 1] + form.col - 1
+            rest, datum = text[at:], form.datum
+            if isinstance(datum, list) and rest[0] in "'#":
+                # quote sugar: its head sits at the mark too
+                head, target = datum
+                assert (head.line, head.col) == (form.line, form.col)
+                assert head.datum is sym("QUOTE" if rest[0] == "'" else "FUNCTION")
+                pending.append(target)
+            elif isinstance(datum, list):
+                assert rest[0] == "("
+                pending.extend(datum)
+            elif rest[0] == "(":
+                assert datum is NIL and rest[1] == ")"
+            elif rest[0] == '"':
+                assert data(_STRING_LEXEME.match(rest).group()) == [datum]
+            else:
+                assert at == 0 or not _ATOM_LEXEME.match(text, at - 1)
+                assert data(_ATOM_LEXEME.match(rest).group()) == [datum]

@@ -249,7 +249,7 @@ class TestPreludeLoading:
         path = tmp_path / "streams.lisp"
         path.write_text(PRELUDE_SOURCE, encoding="utf-8")
         bare = Interpreter(prelude=False)
-        bare.run_file(str(path))
+        bare.run(path.read_text(encoding="utf-8"))
         assert to_py(bare.run("(stream-take (integers-from 2) 3)")) == [2, 3, 4]
 
     def test_prelude_names_are_ordinary_definitions(self, interp):
