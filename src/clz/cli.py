@@ -12,8 +12,8 @@ import argparse
 import sys
 
 from .core import Interpreter
-from .errors import LispError, ReadError, StepLimitExceeded
-from .reader import read_source
+from .errors import LispError, StepLimitExceeded
+from .reader import Reader, read_source
 from .values import print_value
 
 
@@ -51,53 +51,41 @@ def _build_parser() -> argparse.ArgumentParser:
 def _repl(interp: Interpreter) -> int:
     """Read, evaluate and print until EOF.
 
-    A form left open at the end of a line (an incomplete read) is
-    continued on the next lines. If EOF comes first, its read-error is
-    printed, and the lines after the one it began on are read again.
-    Ctrl-C drops the running form or an unclosed one, and prompts again.
+    Each line is fed once to a reader that keeps what is open. A form left
+    open at a line's end continues on the next, and a line's forms run once
+    none is left open. If EOF comes first, the open form's read-error is
+    printed, and the lines after the one it began on are read again. A read
+    error or Ctrl-C drops what is open, and Ctrl-C stops a running form.
     """
     out = sys.stdout
-    lines: list[str] = []   # the lines of a form not yet closed
-    replay: list[str] = []  # lines read again after an unclosed form
-    pending = None          # the read-error that keeps ``lines`` open
+    reader, lines, forms = Reader(), [], []  # lines fed and forms read while open
+    replay: list[str] = []                   # lines read again after an unclosed form, last first
     while True:
         try:
             if replay:
-                line = replay.pop(0)
+                line = replay.pop()
             else:
-                out.write("...  " if lines else "clz> ")
+                out.write("...  " if reader.open else "clz> ")
                 out.flush()
                 line = sys.stdin.readline()
             if line == "":
-                if not lines:
+                if not reader.open:
                     out.write("\n")
                     return 0
-                out.write(f"{pending.kind} at {pending.where()}: {pending.message}\n")
-                replay, lines = lines[1:], []
-                continue
-            if not lines and not line.strip():
-                continue
-            lines.append(line)
-            try:
-                forms = read_source("".join(lines))
-            except ReadError as err:
-                if err.incomplete:
-                    pending = err
-                else:
-                    out.write(f"{err.kind} at {err.where()}: {err.message}\n")
-                    lines = []
-                continue
-            lines = []
-            for form in forms:
-                try:
-                    value = interp.eval_top(form)
-                except LispError as err:
-                    out.write(f"{err.kind} at {err.where()}: {err.message}\n")
-                    break
-                out.write(print_value(value) + "\n")
+                replay.extend(reversed(lines[1:]))
+                reader.close()   # raises the open form's read-error
+            elif reader.open or line.strip():   # a blank line at the prompt is skipped
+                lines.append(line)
+                forms += reader.feed(line)
+                if reader.open:
+                    continue
+                for form in forms:
+                    out.write(print_value(interp.eval_top(form)) + "\n")
+        except LispError as err:   # a read error, or the first form that failed
+            out.write(f"{err.kind} at {err.where()}: {err.message}\n")
         except KeyboardInterrupt:  # at the prompt, or while a form runs
             out.write("interrupted\n")
-            lines = []
+        reader, lines, forms = Reader(), [], []
 
 
 def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:

@@ -1,15 +1,17 @@
-"""The reader: source text in, positioned forms out, in one scan.
+"""The reader: source text in, positioned forms out, each line scanned once.
 
 Surface syntax: symbols (case-insensitive, canonicalized upper), keywords
 (:name), signed 64-bit integer literals ([+-]?[0-9]+), double-quoted
 strings with \\" and \\\\ escapes, t / nil, ' and #' sugar, proper lists,
 and ; comments.
 
-One compiled regex, run once over the text with finditer, yields each
-lexeme together with the blanks in front of it, and one loop builds forms
-from the matches, keeping open lists and quote marks on an explicit
-stack, so nesting depth costs no host recursion. Atom text resolves
-through one table from spelling to datum, filled as atoms first read.
+A Reader is fed the text in pieces that end at newlines: a whole file, or
+the REPL's lines one at a time. One compiled regex, run over each piece
+with finditer, yields each lexeme together with the blanks in front of it,
+and one loop builds forms from the matches, keeping open lists and quote
+marks on an explicit stack, so nesting depth costs no host recursion. The
+stack, the line count and an unfinished string carry over to the next
+piece. Atom text resolves through one table from spelling to datum.
 """
 
 from __future__ import annotations
@@ -75,83 +77,122 @@ class Form:
 
     def __repr__(self):
         """The printed form, cut to 80 characters for diagnostics."""
-        text = print_value(form_to_value(self))
-        return text if len(text) <= 80 else text[:77] + "..."
+        return _cut(print_value(form_to_value(self)))
 
 
 def read_source(text: str) -> list[Form]:
     """Read every top-level form in ``text``.
 
-    Raises ReadError at the first error in source order. Its
-    ``incomplete`` flag is set when the text ended inside a form, so
-    that more text could still complete it.
+    Raises ReadError at the first error in source order, with ``incomplete``
+    set when the text ended inside a form that more text could complete.
     """
-    forms: list[Form] = []
-    items = forms   # the list the next finished form joins
-    mark = None     # ' or #' while a quote mark awaits its form
-    stack = []      # (items, mark, line, col) saved by each open ( or mark
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        kind = m.lastindex
-        if kind == _OPEN:   # a ( or ) is the last character matched
-            stack.append((items, mark, line, m.end() - line_start))
-            items, mark = [], None
-            continue
-        elif kind == _CLOSE:
-            if mark is not None:
-                raise ReadError(f"{mark} with no following form", line, m.end() - line_start)
-            if not stack:
-                raise ReadError("unbalanced close parenthesis", line, m.end() - line_start)
-            datum = items or NIL
-            items, mark, line0, col0 = stack.pop()
-            form = Form(datum, line0, col0)
-        elif kind == _INTEGER:
-            lexeme = m.group(_INTEGER)
-            value = int(lexeme)
-            col = m.start(_INTEGER) - line_start + 1
-            if not INT_MIN <= value <= INT_MAX:
-                raise ReadError(f"integer literal {lexeme} outside the 64-bit signed range",
-                                line, col)
-            form = Form(value, line, col)
-        elif kind == _ATOM:
-            name = m.group(_ATOM)
-            col = m.start(_ATOM) - line_start + 1
-            try:
-                datum = _ATOMS[name]
-            except KeyError:
-                datum = _ATOMS[name] = _atom_datum(name.upper(), line, col)
-            form = Form(datum, line, col)
-        elif kind == _NEWLINE:
-            line += 1
-            line_start = m.end()
-            continue
-        elif kind == _COMMENT:
-            continue
-        elif kind == _QUOTE:
-            stack.append((items, mark, line, m.start(_QUOTE) - line_start + 1))
-            items, mark = None, m.group(_QUOTE)
-            continue
-        elif kind == _STRING:
-            lexeme = m.group(_STRING)
-            form = Form(_ESCAPE.sub(r"\1", lexeme[1:-1]), line, m.start(_STRING) - line_start + 1)
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = text.rindex("\n", 0, m.end()) + 1
-        elif kind == _ILLEGAL:
-            raise _diagnose(text, m.start(_ILLEGAL))
-        else:
-            continue    # the blanks at the end of the text
-        # A finished form completes every quote mark waiting for it.
-        while mark is not None:
-            head = _QUOTE_MARKS[mark]
-            items, mark, line0, col0 = stack.pop()
-            form = Form([Form(head, line0, col0), form], line0, col0)
-        items.append(form)
-    if stack:
-        _, _, line0, col0 = stack[-1]
-        message = "unclosed parenthesis" if mark is None else f"{mark} with no following form"
-        raise ReadError(message, line0, col0, incomplete=True)
+    reader = Reader()
+    forms = reader.feed(text)
+    reader.close()
     return forms
+
+
+class Reader:
+    """Reads a source fed in pieces, each ending at a newline but the last.
+
+    After ``feed`` or ``close`` raises, the reader is not used again.
+    """
+
+    def __init__(self):
+        self._forms: list[Form] = []    # top-level forms not yet handed out
+        self._items = self._forms       # the list the next finished form joins
+        self._mark = None               # ' or #' while a quote mark awaits its form
+        self._stack = []                # (items, mark, line, col) saved by each open ( or mark
+        self._line, self._line_start = 1, 0  # the line's start as an offset into the next text
+        self._string = ""               # an unfinished string literal, scanned again
+
+    @property
+    def open(self) -> bool:
+        """Whether a form has begun and not ended."""
+        return bool(self._stack or self._string)
+
+    def feed(self, piece: str) -> list[Form]:
+        """The top-level forms ``piece`` finishes; ReadError at the first error."""
+        text = self._string + piece
+        forms, items, mark, stack = self._forms, self._items, self._mark, self._stack
+        line, line_start, string = self._line, self._line_start, ""
+        for m in _LEXEME.finditer(text):
+            kind = m.lastindex
+            if kind == _OPEN:   # a ( or ) is the last character matched
+                stack.append((items, mark, line, m.end() - line_start))
+                items, mark = [], None
+                continue
+            elif kind == _CLOSE:
+                if mark is not None:
+                    raise ReadError(f"{mark} with no following form", line, m.end() - line_start)
+                if not stack:
+                    raise ReadError("unbalanced close parenthesis", line, m.end() - line_start)
+                datum = items or NIL
+                items, mark, line0, col0 = stack.pop()
+                form = Form(datum, line0, col0)
+            elif kind == _INTEGER:
+                lexeme = m.group(_INTEGER)
+                col = m.start(_INTEGER) - line_start + 1
+                if len(lexeme) < 20:
+                    value = int(lexeme)
+                else:  # int() takes at most 4,300 digits; 20 past sign and zeros are out of range
+                    value = int(lexeme.lstrip("+-0")[:20] or 0) * (-1 if lexeme[0] == "-" else 1)
+                if not INT_MIN <= value <= INT_MAX:
+                    message = f"integer literal {_cut(lexeme)} outside the 64-bit signed range"
+                    raise ReadError(message, line, col)
+                form = Form(value, line, col)
+            elif kind == _ATOM:
+                name = m.group(_ATOM)
+                col = m.start(_ATOM) - line_start + 1
+                try:
+                    datum = _ATOMS[name]
+                except KeyError:
+                    datum = _ATOMS[name] = _atom_datum(name.upper(), line, col)
+                form = Form(datum, line, col)
+            elif kind == _NEWLINE:
+                line += 1
+                line_start = m.end()
+                continue
+            elif kind == _COMMENT:
+                continue
+            elif kind == _QUOTE:
+                stack.append((items, mark, line, m.start(_QUOTE) - line_start + 1))
+                items, mark = None, m.group(_QUOTE)
+                continue
+            elif kind == _STRING:
+                lexeme = m.group(_STRING)
+                col = m.start(_STRING) - line_start + 1
+                form = Form(_ESCAPE.sub(r"\1", lexeme[1:-1]), line, col)
+                if "\n" in lexeme:
+                    line += lexeme.count("\n")
+                    line_start = text.rindex("\n", 0, m.end()) + 1
+            elif kind == _ILLEGAL:
+                error = _diagnose(text, m.start(_ILLEGAL), line, line_start)
+                if not error.incomplete:
+                    raise error
+                string = text[m.start(_ILLEGAL):]   # the next piece may end it
+                break
+            else:
+                continue    # the blanks at the end of the text
+            # A finished form completes every quote mark waiting for it.
+            while mark is not None:
+                head = _QUOTE_MARKS[mark]
+                items, mark, line0, col0 = stack.pop()
+                form = Form([Form(head, line0, col0), form], line0, col0)
+            items.append(form)
+        self._items, self._mark, self._string = items, mark, string
+        self._line, self._line_start = line, line_start - len(text) + len(string)
+        done, forms[:] = forms[:], []
+        return done
+
+    def close(self) -> None:
+        """Raise the incomplete ReadError of a form the text ended inside."""
+        if self._string:
+            raise _diagnose(self._string, 0, self._line, self._line_start)
+        if self._stack:
+            mark, (_, _, line0, col0) = self._mark, self._stack[-1]
+            message = "unclosed parenthesis" if mark is None else f"{mark} with no following form"
+            raise ReadError(message, line0, col0, incomplete=True)
 
 
 def _atom_datum(name: str, line: int, col: int):
@@ -165,8 +206,8 @@ def _atom_datum(name: str, line: int, col: int):
     return T if name == "T" else NIL if name == "NIL" else Symbol.intern(name)
 
 
-def _diagnose(text: str, pos: int) -> ReadError:
-    """The error at ``pos``, where no lexeme matches.
+def _diagnose(text: str, pos: int, line: int, line_start: int) -> ReadError:
+    """The error at ``pos``, where no lexeme matches, on a line from ``line_start``.
 
     That is a '#' without a quote after it, a string that is unterminated
     or has an unknown escape, or a control character at or in an atom.
@@ -183,9 +224,15 @@ def _diagnose(text: str, pos: int) -> ReadError:
     else:
         at = _CONTROL.search(text, pos).start()
         message = f"illegal character (codepoint {ord(text[at])})"
-    line = text.count("\n", 0, at) + 1
-    col = at - text.rfind("\n", 0, at)
-    return ReadError(message, line, col, incomplete=incomplete)
+    if "\n" in text[pos:at]:   # only a string spans lines
+        line += text.count("\n", pos, at)
+        line_start = text.rindex("\n", pos, at) + 1
+    return ReadError(message, line, at - line_start + 1, incomplete=incomplete)
+
+
+def _cut(text: str) -> str:
+    """``text``, cut to 80 characters for diagnostics."""
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def form_to_value(form: Form):

@@ -90,6 +90,17 @@ class TestRepl:
         proc = run_clz(stdin="")
         assert proc.returncode == 0
 
+    def test_a_lines_forms_run_once_none_is_left_open(self):
+        proc = run_clz(stdin="(+ 1 2) (car\n'(9))\n")
+        assert proc.returncode == 0
+        assert proc.stdout == "clz> ...  3\n9\nclz> \n"
+
+    def test_a_long_pasted_form_reads_each_line_once(self):
+        lines = "".join(f"(+ {i} 1)\n" for i in range(20_000))
+        proc = run_clz(stdin=f"(progn\n{lines})\n", timeout=30)
+        assert proc.returncode == 0
+        assert proc.stdout.endswith("...  20000\nclz> \n")
+
 
 class TestRunFile:
     def test_quiet_run_prints_only_print_output(self, tmp_path):
@@ -182,6 +193,13 @@ class TestEvalFlag:
         path = script(tmp_path, "1\n")
         proc = run_clz(path, "--eval", "1")
         assert proc.returncode == 2
+
+    def test_literal_past_the_host_digit_limit_is_a_read_error(self):
+        proc = run_clz("--eval", "(+ 1 " + "1" * 5000 + ")")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == ("<eval>:1:6: read-error: integer literal " + "1" * 77
+                               + "... outside the 64-bit signed range\n")
 
     def test_bad_limit_value_rejected(self):
         for bad in ("0", "-3", "many"):

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from clz import NIL, Cons, EvalError, Interpreter, Keyword, Symbol, T, print_value
 from clz.errors import ReadError
-from clz.reader import form_to_value, read_source
+from clz.reader import Reader, form_to_value, read_source
 
 
 def data(text):
     """The atoms, or nested lists of atoms, that ``text`` reads as."""
+    return data_of(read_source(text))
+
+
+def data_of(forms):
     def strip(form):
         if isinstance(form.datum, list):
             return [strip(f) for f in form.datum]
         return form.datum
-    return [strip(f) for f in read_source(text)]
+    return [strip(f) for f in forms]
 
 
 def one(text):
@@ -120,6 +124,16 @@ class TestTokenize:
         for text in (str(2 ** 63), str(-(2 ** 63) - 1)):
             err = read_error(f"(x {text})")
             assert (err.line, err.col) == (1, 4)
+
+    def test_literal_past_the_host_digit_limit_is_out_of_range(self):
+        # int() refuses more than 4,300 digits; the reader decides first
+        for text in ("1" * 5000, "-" + "0" * 5000 + "1" + "0" * 19):
+            err = read_error(f"(x {text})")
+            assert err.message == f"integer literal {text[:77]}... outside the 64-bit signed range"
+            assert (err.line, err.col) == (1, 4) and not err.incomplete
+        assert data("0" * 5000 + "1") == [1]
+        assert data("-" + "0" * 5000 + str(2 ** 63)) == [-(2 ** 63)]
+        assert data("+" + "0" * 5000) == [0]
 
     def test_lexemes_reassemble_to_equivalent_program(self):
         # lexemes need no blanks between them, and extra blanks change nothing
@@ -364,6 +378,44 @@ class TestPrintValue:
             assert print_value(again) == text
 
 
+def pieces(text):
+    """``text`` cut after each newline, as a REPL reads it."""
+    return re.split(r"(?<=\n)", text)
+
+
+class TestReader:
+    def test_feed_returns_the_forms_each_piece_finishes(self):
+        reader = Reader()
+        assert data_of(reader.feed("(+ 1 2) (car\n")) == [[sym("+"), 1, 2]]
+        assert reader.open
+        assert data_of(reader.feed("'(9)) x\n")) == [
+            [sym("CAR"), [sym("QUOTE"), [9]]], sym("X")]
+        assert not reader.open
+        reader.close()
+
+    def test_a_string_across_pieces_keeps_its_lines_and_columns(self):
+        reader = Reader()
+        assert reader.feed('  ("ab\n') == []
+        assert reader.open
+        assert reader.feed("\n") == []
+        [form] = reader.feed('c" y)\n')
+        text, y = form.datum
+        assert (text.datum, text.line, text.col) == ("ab\n\nc", 1, 4)
+        assert (y.datum, y.line, y.col) == (sym("Y"), 3, 4)
+
+    def test_an_escape_error_lines_after_the_quote_is_placed_on_its_line(self):
+        text = '(x "a\nb\n c\\q")'
+        assert (read_error(text).line, read_error(text).col) == (3, 3)
+        first, second, third = pieces(text)
+        reader = Reader()
+        reader.feed(first)
+        reader.feed(second)
+        with pytest.raises(ReadError) as exc:
+            reader.feed(third)
+        assert exc.value.message == "unknown string escape '\\q'"
+        assert (exc.value.line, exc.value.col) == (3, 3)
+
+
 # Characters that mean something to the reader, and a few that do not.
 _READER_ALPHABET = "()'#\";\\ \t\r\n:+-019azTnil\x01\x0b²"
 
@@ -455,3 +507,28 @@ class TestReaderProperties:
             else:
                 assert at == 0 or not _ATOM_LEXEME.match(text, at - 1)
                 assert data(_ATOM_LEXEME.match(rest).group()) == [datum]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.one_of(st.text(alphabet=_READER_ALPHABET, max_size=60), _SPACED_SOURCES))
+    def test_text_fed_line_by_line_reads_as_the_whole_text(self, text):
+        whole = read_outcome(lambda: read_source(text))
+
+        def fed():
+            reader = Reader()
+            forms = [form for piece in pieces(text) for form in reader.feed(piece)]
+            opened = reader.open
+            reader.close()
+            assert not opened   # close raised, as the whole text did, if a form was open
+            return forms
+        assert read_outcome(fed) == whole
+
+
+def read_outcome(read):
+    """The forms ``read`` returns, with positions at every depth, or its error."""
+    def shape(form):
+        datum = [shape(f) for f in form.datum] if isinstance(form.datum, list) else form.datum
+        return (datum, form.line, form.col)
+    try:
+        return [shape(form) for form in read()]
+    except ReadError as err:
+        return ("error", err.message, err.line, err.col, err.incomplete)
