@@ -20,13 +20,14 @@ from .values import (
     BuiltinFunction,
     Cons,
     Symbol,
+    brief,
     cons_list,
     print_value,
 )
 
 
 def _not_int(who: str, value) -> EvalError:
-    return EvalError(f"{who} expects integers, got {print_value(value)}",
+    return EvalError(f"{who} expects integers, got {brief(value)}",
                      None, None, kind="type-error")
 
 
@@ -110,7 +111,7 @@ def _bi_car(interp, args):
         return NIL
     if isinstance(v, Cons):
         return v.car
-    raise EvalError(f"car expects a cons or nil, got {print_value(v)}",
+    raise EvalError(f"car expects a cons or nil, got {brief(v)}",
                     None, None, kind="type-error")
 
 
@@ -120,7 +121,7 @@ def _bi_cdr(interp, args):
         return NIL
     if isinstance(v, Cons):
         return v.cdr
-    raise EvalError(f"cdr expects a cons or nil, got {print_value(v)}",
+    raise EvalError(f"cdr expects a cons or nil, got {brief(v)}",
                     None, None, kind="type-error")
 
 

@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     )
     if args.file is not None:
         try:
-            with open(args.file, "r", encoding="utf-8") as fh:
+            with open(args.file, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as err:
             reason = err.strerror if isinstance(err, OSError) else err

@@ -25,8 +25,8 @@ from .values import (
     Keyword,
     Symbol,
     Thunk,
+    brief,
     cons_list,
-    print_value,
 )
 
 # The host stack: each host recursion passes through a list form that the
@@ -206,13 +206,13 @@ class Interpreter:
         while True:
             kind = type(fn)
             if kind is not FunctionObject and kind is not BuiltinFunction:
-                raise EvalError(f"{print_value(fn)} is not a function",
+                raise EvalError(f"{brief(fn)} is not a function",
                                 None, None, kind="not-a-function")
             if not (fn.lazy if lazy else fn.strict):
                 if lazy:
                     raise EvalError(f"{_label(fn)} is strict and has no lazy version",
                                     None, None, kind="no-lazy-version")
-                raise EvalError(f"{print_value(fn)} has the lazy calling convention; "
+                raise EvalError(f"{brief(fn)} has the lazy calling convention; "
                                 "call it with lazy-call", None, None, kind="lazy-through-strict")
             if kind is FunctionObject:
                 return fn.body, self.bind_lambda_list(fn, args, lazy)
@@ -282,23 +282,22 @@ class Interpreter:
         return frame
 
     def _keyword_pairs(self, frame: Environment, fn: FunctionObject, tail: list) -> dict:
-        label = _label(fn)
         if len(tail) % 2 != 0:
             raise EvalError(
-                f"{label} received an odd number of keyword arguments",
+                f"{_label(fn)} received an odd number of keyword arguments",
                 None, None, kind="odd-keyword-arguments")
-        known = {key.keyword for key in fn.lambda_list.keys}
+        known = fn.lambda_list.keywords
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
             if frame.lazy:
                 marker = force(self, marker)
             if not isinstance(marker, Keyword):
                 raise EvalError(
-                    f"{label} expected a keyword marker, got {print_value(marker)}",
+                    f"{_label(fn)} expected a keyword marker, got {brief(marker)}",
                     None, None, kind="type-error")
             if marker not in known:
                 raise EvalError(
-                    f"{label} does not accept the keyword :{marker.name}",
+                    f"{_label(fn)} does not accept the keyword :{marker.name}",
                     None, None, kind="unknown-keyword-argument")
             if marker not in pairs:  # first occurrence wins
                 pairs[marker] = value
@@ -438,7 +437,7 @@ def _sf_ecase(interp, form, env):
             raise _malformed("ecase clause keys must be unevaluated symbols", d[0])
         if clause_key is key:
             return d[1:], env
-    raise EvalError(f"{print_value(key)} matched no ecase clause",
+    raise EvalError(f"{brief(key)} matched no ecase clause",
                     form.line, form.col, kind="ecase-no-match")
 
 

@@ -13,7 +13,7 @@ import copy
 
 from .errors import EvalError
 from .reader import Form
-from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, print_value
+from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, brief
 
 _QUOTE = Symbol.intern("QUOTE")
 
@@ -122,7 +122,7 @@ def eval_lazify(interp, form: Form, env):
     items = form.datum
     value = interp.evaluate(items[1], env)
     if type(value) is not FunctionObject and type(value) is not BuiltinFunction:
-        raise EvalError(f"{print_value(value)} is not a function",
+        raise EvalError(f"{brief(value)} is not a function",
                         items[1].line, items[1].col, kind="not-a-function")
     if value.strict:
         value = copy.copy(value)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from .errors import ReadError
-from .values import INT_MAX, INT_MIN, NIL, T, Cons, Keyword, Symbol, print_value
+from .values import INT_MAX, INT_MIN, NIL, T, Cons, Keyword, Symbol, brief, cut
 
 _STRING_BODY = r'[^"\\]*(?:\\["\\][^"\\]*)*'  # the only escapes are \" and \\
 
@@ -77,7 +77,7 @@ class Form:
 
     def __repr__(self):
         """The printed form, cut to 80 characters for diagnostics."""
-        return _cut(print_value(form_to_value(self)))
+        return brief(form_to_value(self))
 
 
 def read_source(text: str) -> list[Form]:
@@ -138,7 +138,7 @@ class Reader:
                 else:  # int() takes at most 4,300 digits; 20 past sign and zeros are out of range
                     value = int(lexeme.lstrip("+-0")[:20] or 0) * (-1 if lexeme[0] == "-" else 1)
                 if not INT_MIN <= value <= INT_MAX:
-                    message = f"integer literal {_cut(lexeme)} outside the 64-bit signed range"
+                    message = f"integer literal {cut(lexeme)} outside the 64-bit signed range"
                     raise ReadError(message, line, col)
                 form = Form(value, line, col)
             elif kind == _ATOM:
@@ -228,11 +228,6 @@ def _diagnose(text: str, pos: int, line: int, line_start: int) -> ReadError:
         line += text.count("\n", pos, at)
         line_start = text.rindex("\n", pos, at) + 1
     return ReadError(message, line, at - line_start + 1, incomplete=incomplete)
-
-
-def _cut(text: str) -> str:
-    """``text``, cut to 80 characters for diagnostics."""
-    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def form_to_value(form: Form):

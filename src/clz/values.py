@@ -155,6 +155,16 @@ def cons_list(items: list):
     return result
 
 
+def brief(value) -> str:
+    """The printed value, cut to 80 characters, as a diagnostic quotes it."""
+    return cut(print_value(value))
+
+
+def cut(text: str) -> str:
+    """``text``, cut to 80 characters for diagnostics."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def print_value(value) -> str:
     """Readable rendering of a value.
 

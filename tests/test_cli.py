@@ -156,6 +156,12 @@ class TestRunFile:
         assert proc.returncode == 2
         assert "cannot read" in proc.stderr
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.lisp"
+        path.write_bytes(b"\xef\xbb\xbf(print 1)\n")
+        proc = run_clz(str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
     def test_non_utf8_script_exits_two(self, tmp_path):
         path = tmp_path / "bad.lisp"
         path.write_bytes(b"(print 1)\n\xff\xfe\n")
@@ -193,6 +199,12 @@ class TestEvalFlag:
         path = script(tmp_path, "1\n")
         proc = run_clz(path, "--eval", "1")
         assert proc.returncode == 2
+
+    def test_a_long_value_in_a_diagnostic_is_cut_short(self):
+        proc = run_clz("--eval", "(+ 1 (stream-take (integers-from 0) 2000))")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("<eval>:1:1: type-error: + expects integers, got (0 1 2 ")
+        assert proc.stderr.endswith("...\n") and len(proc.stderr) < 150
 
     def test_literal_past_the_host_digit_limit_is_a_read_error(self):
         proc = run_clz("--eval", "(+ 1 " + "1" * 5000 + ")")

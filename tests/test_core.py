@@ -270,6 +270,48 @@ class TestApplication:
         assert (exc.value.line, exc.value.col) == (2, 4)
 
 
+# Every malformed-lambda-list message, with the line:col it is reported at.
+_BAD_LAMBDA_LISTS = [
+    ("(lambda 5 1)", "lambda list must be a list, got 5", "1:9"),
+    ("(defun f x x)", "lambda list must be a list, got X", "1:10"),
+    ("(lambda (1) 1)", "expected a parameter name, got 1", "1:10"),
+    ('(lambda (x &optional ("s")) 1)', 'expected a parameter name, got "s"', "1:23"),
+    ("(lambda (&optional (x 1 2)) 1)", "expected a parameter name, got 2", "1:25"),
+    ("(lambda (&key ((:k 1))) 1)", "expected a parameter name, got 1", "1:20"),
+    ("(lambda (&rest 1) 1)", "expected a parameter name, got 1", "1:16"),
+    ("(lambda (x x) x)", "duplicate parameter name X", "1:12"),
+    ("(lambda (x &optional (y 1 x)) 1)", "duplicate parameter name X", "1:27"),
+    ("(lambda (x &rest x) 1)", "duplicate parameter name X", "1:18"),
+    ("(lambda (&key x (x)) 1)", "duplicate parameter name X", "1:18"),
+    ("(lambda (x &key ((:k x))) 1)", "duplicate parameter name X", "1:18"),  # at the pair
+    ("(lambda (&aux y) y)", "unknown lambda-list marker &AUX", "1:10"),
+    ("(lambda (&rest r &key &aux) 1)", "unknown lambda-list marker &AUX", "1:23"),
+    ("(lambda (&key &optional) 1)", "&OPTIONAL out of order", "1:15"),
+    ("(lambda (&optional x &optional) 1)", "&OPTIONAL out of order", "1:22"),
+    ("(lambda (&key &rest r) 1)", "&REST out of order", "1:15"),
+    ("(lambda (&rest) 1)", "&rest must be followed by one parameter name", "1:10"),
+    ("(lambda (x &rest &key) 1)", "&rest must be followed by one parameter name", "1:12"),
+    ("(lambda (&rest &aux) 1)", "&rest must be followed by one parameter name", "1:10"),
+    ("(lambda (&optional &rest) 1)", "&rest must be followed by one parameter name", "1:20"),
+    ("(lambda (&rest r x) 1)", "only &key may follow the &rest parameter", "1:18"),
+    ("(lambda (&rest r &optional) 1)", "only &key may follow the &rest parameter", "1:18"),
+    ("(lambda (&rest r &rest s) 1)", "only &key may follow the &rest parameter", "1:18"),
+    ("(lambda (&rest r &aux) 1)", "only &key may follow the &rest parameter", "1:18"),
+    ("(lambda (&optional 5) 1)", "malformed &optional parameter 5", "1:20"),
+    ("(lambda (&optional ()) 1)", "malformed &optional parameter NIL", "1:20"),
+    ("(lambda (&optional (a 1 b c)) 1)", "malformed &optional parameter (A 1 B C)", "1:20"),
+    ("(lambda (&key 5) 1)", "malformed &key parameter 5", "1:15"),
+    ('(lambda (&key ("k")) 1)', 'malformed &key parameter ("k")', "1:15"),
+    ("(lambda (&key (&key)) 1)", "malformed &key parameter (&KEY)", "1:15"),
+    ("(lambda (&key ((k x))) 1)", "malformed &key name pair (K X)", "1:16"),
+    ("(lambda (&key ((:k))) 1)", "malformed &key name pair (:K)", "1:16"),
+    ("(lambda (&key ((:k x y))) 1)", "malformed &key name pair (:K X Y)", "1:16"),
+]
+
+_LAMBDA_LIST_ITEMS = ["&optional", "&rest", "&key", "&aux", "x", "y", "1",
+                      ":k", "nil", '"s"', "(:k x)", "()"]
+
+
 class TestLambdaListBinding:
     def test_optional_default_eager_left_to_right(self, interp):
         assert interp.run("((lambda (x &optional (y (+ x 1))) (+ x y)) 2)") == 5
@@ -356,6 +398,25 @@ class TestLambdaListBinding:
         with pytest.raises(EvalError) as exc:
             interp.run("(defun bad4 (&rest) 1)")
         assert exc.value.kind == "malformed-lambda-list"
+
+    @pytest.mark.parametrize("source, message, where", _BAD_LAMBDA_LISTS)
+    def test_malformed_lambda_list_message_and_position(self, interp, source, message, where):
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert (exc.value.kind, exc.value.message, exc.value.where()) == \
+            ("malformed-lambda-list", message, where)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_LAMBDA_LIST_ITEMS)
+                    | st.lists(st.sampled_from(_LAMBDA_LIST_ITEMS), max_size=4)
+                    .map(lambda items: f"({' '.join(items)})"), max_size=6))
+    def test_any_lambda_list_parses_or_is_malformed_on_line_one(self, items):
+        interp = Interpreter(prelude=False)
+        try:
+            interp.run(f"(lambda ({' '.join(items)}) 1)")
+        except EvalError as err:
+            assert err.kind == "malformed-lambda-list"
+            assert err.line == 1
 
 
 class TestBudgets:
@@ -650,3 +711,23 @@ class TestErrorKinds:
         assert DivergenceError("m").kind == "divergence"
         assert StepLimitExceeded("m").kind == "step-limit"
         assert EvalError("m", kind="type-error").kind == "type-error"
+
+    @pytest.mark.parametrize("source, kind, start", [
+        ("(+ 1 big)", "type-error", "+ expects integers, got (0 1 2 "),
+        (f'(car "{"x" * 2000}")', "type-error", 'car expects a cons or nil, got "xxx'),
+        (f'(cdr "{"x" * 2000}")', "type-error", 'cdr expects a cons or nil, got "xxx'),
+        ("(funcall big)", "not-a-function", "(0 1 2 "),
+        ("(lazy big)", "not-a-function", "(0 1 2 "),
+        (f"(funcall (lazy #'{'f' * 2000}))", "lazy-through-strict", "#<function FFF"),
+        ("(ecase big (a 1))", "ecase-no-match", "(0 1 2 "),
+        ("(k big 1)", "type-error", "K expected a keyword marker, got (0 1 2 "),
+    ], ids=["+", "car", "cdr", "funcall", "lazy", "lazy-through-strict", "ecase", "keyword"])
+    def test_a_quoted_value_is_cut_to_80_characters(self, interp, source, kind, start):
+        interp.run(f"(defparameter big (stream-take (integers-from 0) 2000))"
+                   f"(defun {'f' * 2000} () 1) (defun k (&key y) y)")
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert exc.value.kind == kind
+        assert exc.value.message.startswith(start)
+        # the value printed is 77 characters and "...", in a one-line message
+        assert "..." in exc.value.message and len(exc.value.message) < 140
