@@ -282,22 +282,23 @@ class Interpreter:
         return frame
 
     def _keyword_pairs(self, frame: Environment, fn: FunctionObject, tail: list) -> dict:
+        label = _label(fn)
         if len(tail) % 2 != 0:
             raise EvalError(
-                f"{_label(fn)} received an odd number of keyword arguments",
+                f"{label} received an odd number of keyword arguments",
                 None, None, kind="odd-keyword-arguments")
-        known = fn.lambda_list.keywords
+        known = {key.keyword for key in fn.lambda_list.keys}
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
             if frame.lazy:
                 marker = force(self, marker)
             if not isinstance(marker, Keyword):
                 raise EvalError(
-                    f"{_label(fn)} expected a keyword marker, got {brief(marker)}",
+                    f"{label} expected a keyword marker, got {brief(marker)}",
                     None, None, kind="type-error")
             if marker not in known:
                 raise EvalError(
-                    f"{_label(fn)} does not accept the keyword :{marker.name}",
+                    f"{label} does not accept the keyword :{marker.name}",
                     None, None, kind="unknown-keyword-argument")
             if marker not in pairs:  # first occurrence wins
                 pairs[marker] = value

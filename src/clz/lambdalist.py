@@ -1,10 +1,9 @@
 """Lambda-list parsing: required, &optional, &rest, and &key parameters.
 
-Parsing is purely structural, so the first lambda, defun or deflazy that
-reaches a lambda-list form keeps its parse on the form; a bad one raises
-each time. One pass reads the items: a table gives each marker its
-section, and sections only move forward. Binding argument values
-against the parsed shape lives in core.
+Parsing is purely structural, so the first lambda, defun or deflazy to
+reach a lambda-list form keeps its parse on the form; a bad one raises
+each time. One pass reads the items; a table gives each marker its
+section, and sections only move forward. Binding is in core.
 """
 
 from __future__ import annotations
@@ -29,15 +28,13 @@ class Param(NamedTuple):
 
 
 class LambdaList:
-    __slots__ = ("required", "optional", "rest", "keys", "keywords")
+    __slots__ = ("required", "optional", "rest", "keys")
 
     def __init__(self, required, optional, rest, keys):
         self.required: list[Symbol] = required
         self.optional: list[Param] = optional
         self.rest: Optional[Symbol] = rest
-        # keys and the set of their keywords are None when &key is not written
-        self.keys: Optional[list[Param]] = keys
-        self.keywords = None if keys is None else frozenset(p.keyword for p in keys)
+        self.keys: Optional[list[Param]] = keys  # None when &key is not written
 
 
 def _bad(msg: str, form: Form) -> EvalError:
@@ -69,14 +66,15 @@ def parse_lambda_list(form: Form) -> LambdaList:
     rest: Optional[Symbol] = None
     keys: Optional[list[Param]] = None
     seen: set[Symbol] = set()
-    section, marker = 0, None  # the last marker read
+    section = 0
+    marker = None  # the last marker read
     for item in items:
         d = item.datum
+        if section == 2 and rest is not None and d is not _KEY:
+            raise _bad("only &key may follow the &rest parameter", item)
         if isinstance(d, Symbol) and d.name.startswith("&"):
             if section == 2 and rest is None:
                 raise _bad("&rest must be followed by one parameter name", marker)
-            if section == 2 and d is not _KEY:
-                raise _bad("only &key may follow the &rest parameter", item)
             if d not in _SECTIONS:
                 raise _bad(f"unknown lambda-list marker {d.name}", item)
             if _SECTIONS[d] <= section:
@@ -90,10 +88,8 @@ def parse_lambda_list(form: Form) -> LambdaList:
             optional.append(_parse_param(item, seen, keyed=False))
         elif section == 3:
             keys.append(_parse_param(item, seen, keyed=True))
-        elif rest is None:
-            rest = _claim(item, seen)
         else:
-            raise _bad("only &key may follow the &rest parameter", item)
+            rest = _claim(item, seen)
     if section == 2 and rest is None:
         raise _bad("&rest must be followed by one parameter name", marker)
     return LambdaList(required, optional, rest, keys)
@@ -108,9 +104,12 @@ def lambda_list_of(form: Form) -> LambdaList:
 
 def _parse_param(item: Form, seen: set, keyed: bool) -> Param:
     """Parse one &optional parameter, or one &key parameter if ``keyed``."""
-    d = [item] if isinstance(item.datum, Symbol) else item.datum  # a bare name is (name)
+    d = item.datum
+    if isinstance(d, Symbol):
+        d = [item]  # a bare name reads as (name)
     if not isinstance(d, list) or not 1 <= len(d) <= 3:
-        raise _bad(f"malformed {'&key' if keyed else '&optional'} parameter {item!r}", item)
+        section = "&key" if keyed else "&optional"
+        raise _bad(f"malformed {section} parameter {item!r}", item)
     head = d[0]
     keyword = None
     if keyed and isinstance(head.datum, list):
@@ -126,5 +125,6 @@ def _parse_param(item: Form, seen: set, keyed: bool) -> Param:
         name = _claim(head, seen)
         if keyed:
             keyword = Keyword.intern(name.name)
+    default = d[1] if len(d) >= 2 else None
     supplied = _claim(d[2], seen) if len(d) == 3 else None
-    return Param(name, keyword, d[1] if len(d) >= 2 else None, supplied)
+    return Param(name, keyword, default, supplied)
