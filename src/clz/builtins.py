@@ -180,4 +180,4 @@ _TABLE = [
 def install(interp) -> None:
     for name, fn, lo, hi in _TABLE:
         symbol = Symbol.intern(name)
-        interp.global_env.vars[symbol] = BuiltinFunction(symbol, fn, lo, hi)
+        interp.global_env[symbol] = BuiltinFunction(symbol, fn, lo, hi)

@@ -27,6 +27,7 @@ from .values import (
     Thunk,
     brief,
     cons_list,
+    cut,
 )
 
 # The host stack: each host recursion passes through a list form that the
@@ -40,18 +41,18 @@ _MISSING = object()
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
 
 
-class Environment:
-    """Chain of lexical frames mapping symbols to values.
+class Environment(dict):
+    """A lexical frame: a dict from symbols to values, chained to its parent.
 
     The frame of a lazy call is ``lazy``: its slots may hold raw thunks,
     and a read of a slot that holds one forces it. Its other slots read
-    as they are.
+    as they are. Compare frames only with ``is``: an empty frame is
+    falsy, and a frame cannot be hashed.
     """
 
-    __slots__ = ("vars", "parent", "lazy")
+    __slots__ = ("parent", "lazy")
 
     def __init__(self, parent: "Environment | None" = None, lazy: bool = False):
-        self.vars: dict = {}
         self.parent = parent
         self.lazy = lazy
 
@@ -176,14 +177,14 @@ class Interpreter:
         """``symbol``'s value; a lazy slot's thunk is forced only if ``follow``."""
         frame = env
         while frame is not None:
-            slot = frame.vars.get(symbol, _MISSING)
+            slot = frame.get(symbol, _MISSING)
             if slot is not _MISSING:
                 if frame.lazy and follow and type(slot) is Thunk:
                     return force(self, slot)
                 return slot
             frame = frame.parent
         where = (form.line, form.col) if form is not None else (None, None)
-        raise EvalError(f"unbound symbol {symbol.name}", *where, kind="unbound-symbol")
+        raise EvalError(f"unbound symbol {cut(symbol.name)}", *where, kind="unbound-symbol")
 
     def _out_of_steps(self, form: Form) -> StepLimitExceeded:
         return StepLimitExceeded(f"step limit of {self.step_limit} exceeded",
@@ -235,7 +236,7 @@ class Interpreter:
             shape = str(fn.min_args)
         else:
             shape = f"{fn.min_args} to {fn.max_args}"
-        raise EvalError(f"{fn.name.name} takes {shape} argument(s), got {n}",
+        raise EvalError(f"{_label(fn)} takes {shape} argument(s), got {n}",
                         None, None, kind="arity-mismatch")
 
     # ------------------------------------------------------------ binding
@@ -253,7 +254,6 @@ class Interpreter:
         """
         ll = fn.lambda_list
         frame = Environment(fn.closure, lazy)
-        slots = frame.vars
         n = len(args)
         nreq = len(ll.required)
         if n < nreq:
@@ -262,14 +262,14 @@ class Interpreter:
                 None, None, kind="arity-mismatch")
         i = 0
         for name in ll.required:
-            slots[name] = args[i]
+            frame[name] = args[i]
             i += 1
         for param in ll.optional:
             self._bind_param(frame, param, args[i] if i < n else _MISSING)
             i += 1
         tail = args[i:]
         if ll.rest is not None:
-            slots[ll.rest] = cons_list(tail)
+            frame[ll.rest] = cons_list(tail)
         if ll.keys is not None:
             pairs = self._keyword_pairs(frame, fn, tail)
             for param in ll.keys:
@@ -298,7 +298,7 @@ class Interpreter:
                     None, None, kind="type-error")
             if marker not in known:
                 raise EvalError(
-                    f"{label} does not accept the keyword :{marker.name}",
+                    f"{label} does not accept the keyword {brief(marker)}",
                     None, None, kind="unknown-keyword-argument")
             if marker not in pairs:  # first occurrence wins
                 pairs[marker] = value
@@ -318,18 +318,18 @@ class Interpreter:
             elif frame.lazy:
                 # the default sees the parameters bound so far, not later ones
                 seen = Environment(frame.parent, lazy=True)
-                seen.vars.update(frame.vars)
+                seen.update(frame)
                 value = delay(self, param.default, seen)
             else:
                 value = self.evaluate(param.default, frame)
-        frame.vars[param.name] = value
+        frame[param.name] = value
         if param.supplied is not None:
-            frame.vars[param.supplied] = supplied
+            frame[param.supplied] = supplied
 
 
 def _label(fn) -> str:
     """How call, arity and keyword errors name a function."""
-    return fn.name.name if fn.name is not None else "anonymous function"
+    return cut(fn.name.name) if fn.name is not None else "anonymous function"
 
 
 # ------------------------------------------------------------ special forms
@@ -366,11 +366,11 @@ def _sf_let(interp, form, env):
     for binding in bindings:
         d = binding.datum
         if isinstance(d, Symbol):
-            frame.vars[d] = NIL
+            frame[d] = NIL
             continue
         if isinstance(d, list) and 1 <= len(d) <= 2 and isinstance(d[0].datum, Symbol):
             value = interp.evaluate(d[1], env) if len(d) == 2 else NIL
-            frame.vars[d[0].datum] = value
+            frame[d[0].datum] = value
             continue
         raise _malformed(f"malformed let binding {binding!r}", binding)
     return items[2:], frame
@@ -389,7 +389,7 @@ def _sf_function(interp, form, env):
         value = interp.lookup(d, env, target)
         if isinstance(value, (FunctionObject, BuiltinFunction)):
             return value
-        raise EvalError(f"{d.name} does not name a function",
+        raise EvalError(f"{cut(d.name)} does not name a function",
                         target.line, target.col, kind="not-a-function")
     if isinstance(d, list) and d[0].datum is _LAMBDA:
         _dispatch(target)  # #'(lambda ...) is not evaluated, so check its shape here
@@ -412,7 +412,7 @@ def _sf_defun(interp, form, env):
     name = name_form.datum
     fn = FunctionObject(name, lambda_list_of(items[2]), items[3:], env,
                         lazy=head is _DEFLAZY)
-    interp.global_env.vars[name] = fn
+    interp.global_env[name] = fn
     return name
 
 
@@ -422,7 +422,7 @@ def _sf_defparameter(interp, form, env):
     if not isinstance(name_form.datum, Symbol):
         raise _malformed("defparameter name must be a symbol", name_form)
     value = interp.evaluate(items[2], env)
-    interp.global_env.vars[name_form.datum] = value
+    interp.global_env[name_form.datum] = value
     return name_form.datum
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import EvalError
-from .values import NIL, Keyword, Symbol
+from .values import NIL, Keyword, Symbol, cut
 from .reader import Form
 
 _KEY = Symbol.intern("&KEY")
@@ -44,10 +44,10 @@ def _bad(msg: str, form: Form) -> EvalError:
 def _claim(form: Form, seen: set, at: Optional[Form] = None) -> Symbol:
     """The name ``form`` holds, added to ``seen``; a duplicate is reported at ``at``."""
     name = form.datum
-    if not isinstance(name, Symbol) or name in _SECTIONS:
+    if not isinstance(name, Symbol) or name.name.startswith("&"):
         raise _bad(f"expected a parameter name, got {form!r}", form)
     if name in seen:
-        raise _bad(f"duplicate parameter name {name.name}", at or form)
+        raise _bad(f"duplicate parameter name {cut(name.name)}", at or form)
     seen.add(name)
     return name
 
@@ -76,7 +76,7 @@ def parse_lambda_list(form: Form) -> LambdaList:
             if section == 2 and rest is None:
                 raise _bad("&rest must be followed by one parameter name", marker)
             if d not in _SECTIONS:
-                raise _bad(f"unknown lambda-list marker {d.name}", item)
+                raise _bad(f"unknown lambda-list marker {cut(d.name)}", item)
             if _SECTIONS[d] <= section:
                 raise _bad(f"{d.name} out of order", item)
             section, marker = _SECTIONS[d], item
@@ -119,7 +119,7 @@ def _parse_param(item: Form, seen: set, keyed: bool) -> Param:
             raise _bad(f"malformed &key name pair {head!r}", head)
         keyword = pair[0].datum
         name = _claim(pair[1], seen, head)
-    elif keyed and (not isinstance(head.datum, Symbol) or head.datum in _SECTIONS):
+    elif keyed and (not isinstance(head.datum, Symbol) or head.datum.name.startswith("&")):
         raise _bad(f"malformed &key parameter {item!r}", item)
     else:
         name = _claim(head, seen)

@@ -21,7 +21,7 @@ _QUOTE = Symbol.intern("QUOTE")
 def delay(interp, form: Form, env) -> Thunk:
     """Capture a form and its environment without evaluating anything."""
     interp.thunk_allocations += 1
-    return Thunk(form, env, interp.memoize)
+    return Thunk(form, env)
 
 
 def force(interp, value):
@@ -29,13 +29,14 @@ def force(interp, value):
 
     A thunk over a variable costs the step evaluate would charge, then its
     slot, unforced, goes round this loop: such a chain nests no host frames.
-    Every memoizing thunk along the chain is backfilled with the final
-    value, so a memo cell never holds another thunk. While its value is
-    being computed a memoizing thunk is marked, and forcing it again from
-    inside that computation is a reentrant-force error, because its memo
-    cell would otherwise be written more than once. If the computation
-    fails, the thunks on the chain go back to unevaluated.
+    By need (``interp.memoize``), every thunk along the chain is backfilled
+    with the final value, so a memo cell never holds another thunk. While
+    its value is being computed a thunk is marked, and forcing it again
+    from inside that computation is a reentrant-force error, because its
+    memo cell would otherwise be written more than once. If the
+    computation fails, the thunks on the chain go back to unevaluated.
     """
+    memoize = interp.memoize
     pending = None
     try:
         while isinstance(value, Thunk):
@@ -43,7 +44,7 @@ def force(interp, value):
             if t.done:
                 value = t.value
                 break
-            if t.memoizing:
+            if memoize:
                 if t.forcing:
                     raise EvalError("thunk forced again while its value is being computed",
                                     None, None, kind="reentrant-force")
@@ -101,7 +102,7 @@ def eval_lazy_call(interp, form: Form, env):
         try:
             op = interp.lookup(op, interp.global_env)
         except EvalError:
-            raise EvalError(f"{op.name} has no lazy version (define it with deflazy)",
+            raise EvalError(f"{brief(op)} has no lazy version (define it with deflazy)",
                             None, None, kind="no-lazy-version") from None
     args = []
     for arg_form in items[2:]:

@@ -11,7 +11,16 @@ INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
 
 
-class _Interned:
+class _Value:
+    """Base of the value classes: a value's repr is its printed form."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return print_value(self)
+
+
+class _Interned(_Value):
     """One instance per upper-cased name, in its class's ``_table``."""
 
     __slots__ = ("name",)
@@ -34,9 +43,6 @@ class Symbol(_Interned):
     __slots__ = ()
     _table: dict[str, "Symbol"] = {}
 
-    def __repr__(self):
-        return self.name
-
 
 class Keyword(_Interned):
     """Interned keyword (``:name``); self-evaluating."""
@@ -44,32 +50,23 @@ class Keyword(_Interned):
     __slots__ = ()
     _table: dict[str, "Keyword"] = {}
 
-    def __repr__(self):
-        return ":" + self.name
 
-
-class _Nil:
+class _Nil(_Value):
     __slots__ = ()
-
-    def __repr__(self):
-        return "NIL"
 
     def __bool__(self):
         return False
 
 
-class _True:
+class _True(_Value):
     __slots__ = ()
-
-    def __repr__(self):
-        return "T"
 
 
 NIL = _Nil()
 T = _True()
 
 
-class Cons:
+class Cons(_Value):
     """Immutable pair. Proper lists are cons chains ending in NIL."""
 
     __slots__ = ("car", "cdr")
@@ -78,35 +75,28 @@ class Cons:
         self.car = car
         self.cdr = cdr
 
-    def __repr__(self):
-        return print_value(self)
 
-
-class Thunk:
+class Thunk(_Value):
     """A delayed expression closed over its environment.
 
-    ``memoizing`` is fixed at creation from the interpreter configuration.
-    A non-memoizing thunk never touches ``value``; a memoizing one writes it
-    at most once, and never stores another thunk there (force resolves
-    chains fully before memoizing). ``forcing`` is set on a memoizing
-    thunk while force computes its value.
+    Whether it memoizes is its interpreter's ``memoize``, read by force.
+    By name, force never touches ``value``; by need, it writes it at most
+    once, and never stores another thunk there (force resolves chains
+    fully before memoizing). By need, ``forcing`` is set while force
+    computes the value.
     """
 
-    __slots__ = ("expr", "env", "memoizing", "done", "forcing", "value")
+    __slots__ = ("expr", "env", "done", "forcing", "value")
 
-    def __init__(self, expr, env, memoizing: bool):
+    def __init__(self, expr, env):
         self.expr = expr
         self.env = env
-        self.memoizing = memoizing
         self.done = False
         self.forcing = False
         self.value = None
 
-    def __repr__(self):
-        return "#<thunk>"
 
-
-class FunctionObject:
+class FunctionObject(_Value):
     """Interpreted function: lambda list + body + closure.
 
     ``strict`` says a strict call (call position, funcall) may enter it,
@@ -125,11 +115,8 @@ class FunctionObject:
         self.strict = True
         self.lazy = lazy
 
-    def __repr__(self):
-        return print_value(self)
 
-
-class BuiltinFunction:
+class BuiltinFunction(_Value):
     """Native primitive: ``fn`` takes (interpreter, args), or is None for
     funcall, which Interpreter.apply resolves. Built strict-only."""
 
@@ -142,9 +129,6 @@ class BuiltinFunction:
         self.max_args = max_args
         self.strict = True
         self.lazy = False
-
-    def __repr__(self):
-        return print_value(self)
 
 
 def cons_list(items: list):

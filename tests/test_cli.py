@@ -206,6 +206,12 @@ class TestEvalFlag:
         assert proc.stderr.startswith("<eval>:1:1: type-error: + expects integers, got (0 1 2 ")
         assert proc.stderr.endswith("...\n") and len(proc.stderr) < 150
 
+    def test_a_long_name_in_a_diagnostic_is_cut_short(self):
+        proc = run_clz("--eval", f"({'a' * 3000} 1)")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("<eval>:1:2: unbound-symbol: unbound symbol AAA")
+        assert proc.stderr.endswith("...\n") and len(proc.stderr.encode()) < 150
+
     def test_literal_past_the_host_digit_limit_is_a_read_error(self):
         proc = run_clz("--eval", "(+ 1 " + "1" * 5000 + ")")
         assert proc.returncode == 1

@@ -306,6 +306,8 @@ _BAD_LAMBDA_LISTS = [
     ("(lambda (&key ((k x))) 1)", "malformed &key name pair (K X)", "1:16"),
     ("(lambda (&key ((:k))) 1)", "malformed &key name pair (:K)", "1:16"),
     ("(lambda (&key ((:k x y))) 1)", "malformed &key name pair (:K X Y)", "1:16"),
+    ("(defun f (&optional (&aux 1)) &aux)", "expected a parameter name, got &AUX", "1:22"),
+    ("(lambda (&key ((:k &aux))) 1)", "expected a parameter name, got &AUX", "1:20"),
 ]
 
 _LAMBDA_LIST_ITEMS = ["&optional", "&rest", "&key", "&aux", "x", "y", "1",
@@ -466,7 +468,7 @@ class TestBudgets:
 
         interp = Interpreter(prelude=False)
         name = Symbol.intern("BLOW")
-        interp.global_env.vars[name] = BuiltinFunction(name, blow, 0, 0)
+        interp.global_env[name] = BuiltinFunction(name, blow, 0, 0)
         found = sys.getrecursionlimit()
         with pytest.raises(EvalError) as exc:
             interp.run("1\n  (progn (+ 1 (blow)))")
@@ -731,3 +733,24 @@ class TestErrorKinds:
         assert exc.value.message.startswith(start)
         # the value printed is 77 characters and "...", in a one-line message
         assert "..." in exc.value.message and len(exc.value.message) < 140
+
+    @pytest.mark.parametrize("source, kind, message", [
+        (f"({'U' * 2000} 1)", "unbound-symbol", f"unbound symbol {'U' * 77}..."),
+        (f"#'{'V' * 2000}", "not-a-function", f"{'V' * 77}... does not name a function"),
+        (f"({'F' * 2000})", "arity-mismatch",
+         f"{'F' * 77}... expected at least 1 argument(s), got 0"),
+        (f"(k :{'K' * 2000} 1)", "unknown-keyword-argument",
+         f"K does not accept the keyword :{'K' * 76}..."),
+        (f"(lazy-call '{'U' * 2000})", "no-lazy-version",
+         f"{'U' * 77}... has no lazy version (define it with deflazy)"),
+        (f"(lambda ({'F' * 2000} {'F' * 2000}) 1)", "malformed-lambda-list",
+         f"duplicate parameter name {'F' * 77}..."),
+        (f"(lambda (&{'U' * 2000}) 1)", "malformed-lambda-list",
+         f"unknown lambda-list marker &{'U' * 76}..."),
+    ], ids=["lookup", "function", "label", "keyword", "lazy-call", "duplicate", "marker"])
+    def test_a_name_is_cut_to_80_characters(self, interp, source, kind, message):
+        interp.run(f"(defparameter {'V' * 2000} 1) (defun {'F' * 2000} (x) x)"
+                   "(defun k (&key y) y)")
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert (exc.value.kind, exc.value.message) == (kind, message)

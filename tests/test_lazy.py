@@ -78,7 +78,7 @@ class TestDelayForce:
     def test_memo_thunk_forcing_itself_is_reentrant_force(self, interp_memo):
         src = "(defparameter x (delay (if (< (tick!) 3) (+ 100 (force x)) 0)))"
         interp_memo.run(src)
-        x = interp_memo.global_env.vars[Symbol.intern("X")]
+        x = interp_memo.global_env[Symbol.intern("X")]
         for ticks in (1, 2):
             with pytest.raises(EvalError) as exc:
                 interp_memo.run("(force x)")
@@ -119,10 +119,10 @@ class TestDelayForce:
     def chain(self, interp, root, links=1000):
         interp.run(self.LINK)
         first = interp.run(f"(defparameter f (lazy-call 'link {root}))")
-        first = interp.global_env.vars[first].closure.vars[self.X]
+        first = interp.global_env[first].closure[self.X]
         for _ in range(links):
             interp.run("(defparameter f (funcall f nil))")
-        last = interp.global_env.vars[Symbol.intern("F")].closure.vars[self.X]
+        last = interp.global_env[Symbol.intern("F")].closure[self.X]
         return first, last
 
     @pytest.mark.parametrize("memoize, ticks", [(False, 2), (True, 1)],

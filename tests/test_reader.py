@@ -350,6 +350,17 @@ class TestPrintValue:
         interp.run("(defun my-fn (x) x)")
         assert print_value(interp.run("#'my-fn")) == "#<function MY-FN>"
 
+    def test_repr_is_the_printed_form(self, interp):
+        # every value but a string, which is a host str with Python's repr
+        interp.run("(defun my-fn (x) x)")
+        values = [42, NIL, T, Symbol.intern("si"), Keyword.intern("y"),
+                  interp.run("'(1 (2 (3)) \"s\")"), interp.run("(cons 1 (cons 2 3))"),
+                  interp.run("(delay (tick!))"), interp.run("#'my-fn"),
+                  interp.run("#'car"), interp.run("(lambda (x) x)")]
+        for v in values:
+            assert repr(v) == print_value(v)
+        assert interp.tick_count == 0
+
     def test_round_trip_over_random_data(self):
         rng = random.Random(20260817)
         interp = Interpreter(prelude=False)
