@@ -10,8 +10,9 @@ the REPL's lines one at a time. One compiled regex, run over each piece
 with finditer, yields each lexeme together with the blanks in front of it,
 and one loop builds forms from the matches, keeping open lists and quote
 marks on an explicit stack, so nesting depth costs no host recursion. The
-stack, the line count and an unfinished string carry over to the next
-piece. Atom text resolves through one table from spelling to datum.
+stack, the line count and the lines of an unfinished string carry over to
+the next piece, which scans the string only once it can end. Every atom,
+integers included, resolves through one table from spelling to datum.
 """
 
 from __future__ import annotations
@@ -33,28 +34,30 @@ _ATOM_END = r"""(?![^ \t\r\n()'";#])"""
 # and a character where no lexeme starts matches the last group alone.
 _LEXEME = re.compile(
     r"[ \t\r]*(?:"
-    r"(\()"                                 # 1
-    r"|(\))"                                # 2
-    r"|([+-]?[0-9]+)" + _ATOM_END +         # 3 an integer literal
-    r"""|([^\x00-\x20()'";#]+)""" + _ATOM_END +  # 4 any other atom
-    r"|(\n)"                                # 5
-    r"|(;[^\n]*)"                           # 6 a comment
-    r"|('|#')"                              # 7 quote marks
-    r'|("' + _STRING_BODY + '")'            # 8 a string, quotes included
-    r"|\Z|(.))", re.DOTALL)                 # 9 no lexeme starts here
-_OPEN, _CLOSE, _INTEGER, _ATOM, _NEWLINE, _COMMENT, _QUOTE, _STRING, _ILLEGAL = range(1, 10)
+    r"""([^\x00-\x20()'";#]+)""" + _ATOM_END +  # 1 an atom: symbol, keyword or integer
+    r"|(\()"                                # 2
+    r"|(\))"                                # 3
+    r"|(\n)"                                # 4
+    r"|(;[^\n]*)"                           # 5 a comment
+    r"|('|#')"                              # 6 quote marks
+    r'|("' + _STRING_BODY + '")'            # 7 a string, quotes included
+    r"|\Z|(.))", re.DOTALL)                 # 8 no lexeme starts here
+_ATOM, _OPEN, _CLOSE, _NEWLINE, _COMMENT, _QUOTE, _STRING, _ILLEGAL = range(1, 9)
 
 # The longest prefix of a string literal that is still well formed.
 _STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _ESCAPE = re.compile(r'\\(["\\])')
+_UNENDED = re.compile(_STRING_BODY)   # a piece a string literal runs on past
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits only: not ٣ or ²
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 _QUOTE_MARKS = {"'": Symbol.intern("QUOTE"), "#'": Symbol.intern("FUNCTION")}
 
-# Each atom spelling read so far, mapped to its datum. Lone : and . raise
-# and are never stored; integers are not atoms here. Like the intern tables
-# whose entries it holds, it lives as long as the process and grows only
-# with distinct spellings.
+# Each atom spelling read so far, integers included, mapped to its datum.
+# A spelling that raises (lone : or ., an integer out of range) is never
+# stored, so it raises on every read. Like the intern tables whose entries
+# it holds, it lives as long as the process and grows only with distinct
+# spellings.
 _ATOMS: dict[str, object] = {}
 
 
@@ -104,7 +107,7 @@ class Reader:
         self._mark = None               # ' or #' while a quote mark awaits its form
         self._stack = []                # (items, mark, line, col) saved by each open ( or mark
         self._line, self._line_start = 1, 0  # the line's start as an offset into the next text
-        self._string = ""               # an unfinished string literal, scanned again
+        self._string: list[str] = []    # the pieces of an unfinished string literal
 
     @property
     def open(self) -> bool:
@@ -113,12 +116,25 @@ class Reader:
 
     def feed(self, piece: str) -> list[Form]:
         """The top-level forms ``piece`` finishes; ReadError at the first error."""
-        text = self._string + piece
+        text = piece
+        if self._string:    # pieces end at newlines, so none splits an escape
+            if _UNENDED.fullmatch(piece):
+                self._string.append(piece)
+                return []
+            text = "".join(self._string) + piece
         forms, items, mark, stack = self._forms, self._items, self._mark, self._stack
         line, line_start, string = self._line, self._line_start, ""
         for m in _LEXEME.finditer(text):
             kind = m.lastindex
-            if kind == _OPEN:   # a ( or ) is the last character matched
+            if kind == _ATOM:
+                lexeme = m[_ATOM]
+                col = m.start(_ATOM) - line_start + 1
+                try:
+                    datum = _ATOMS[lexeme]
+                except KeyError:
+                    datum = _ATOMS[lexeme] = _atom_datum(lexeme, line, col)
+                form = Form(datum, line, col)
+            elif kind == _OPEN:   # a ( or ) is the last character matched
                 stack.append((items, mark, line, m.end() - line_start))
                 items, mark = [], None
                 continue
@@ -130,25 +146,6 @@ class Reader:
                 datum = items or NIL
                 items, mark, line0, col0 = stack.pop()
                 form = Form(datum, line0, col0)
-            elif kind == _INTEGER:
-                lexeme = m.group(_INTEGER)
-                col = m.start(_INTEGER) - line_start + 1
-                if len(lexeme) < 20:
-                    value = int(lexeme)
-                else:  # int() takes at most 4,300 digits; 20 past sign and zeros are out of range
-                    value = int(lexeme.lstrip("+-0")[:20] or 0) * (-1 if lexeme[0] == "-" else 1)
-                if not INT_MIN <= value <= INT_MAX:
-                    message = f"integer literal {cut(lexeme)} outside the 64-bit signed range"
-                    raise ReadError(message, line, col)
-                form = Form(value, line, col)
-            elif kind == _ATOM:
-                name = m.group(_ATOM)
-                col = m.start(_ATOM) - line_start + 1
-                try:
-                    datum = _ATOMS[name]
-                except KeyError:
-                    datum = _ATOMS[name] = _atom_datum(name.upper(), line, col)
-                form = Form(datum, line, col)
             elif kind == _NEWLINE:
                 line += 1
                 line_start = m.end()
@@ -157,10 +154,10 @@ class Reader:
                 continue
             elif kind == _QUOTE:
                 stack.append((items, mark, line, m.start(_QUOTE) - line_start + 1))
-                items, mark = None, m.group(_QUOTE)
+                items, mark = None, m[_QUOTE]
                 continue
             elif kind == _STRING:
-                lexeme = m.group(_STRING)
+                lexeme = m[_STRING]
                 col = m.start(_STRING) - line_start + 1
                 form = Form(_ESCAPE.sub(r"\1", lexeme[1:-1]), line, col)
                 if "\n" in lexeme:
@@ -180,7 +177,7 @@ class Reader:
                 items, mark, line0, col0 = stack.pop()
                 form = Form([Form(head, line0, col0), form], line0, col0)
             items.append(form)
-        self._items, self._mark, self._string = items, mark, string
+        self._items, self._mark, self._string = items, mark, [string] if string else []
         self._line, self._line_start = line, line_start - len(text) + len(string)
         done, forms[:] = forms[:], []
         return done
@@ -188,15 +185,25 @@ class Reader:
     def close(self) -> None:
         """Raise the incomplete ReadError of a form the text ended inside."""
         if self._string:
-            raise _diagnose(self._string, 0, self._line, self._line_start)
+            raise _diagnose("".join(self._string), 0, self._line, self._line_start)
         if self._stack:
             mark, (_, _, line0, col0) = self._mark, self._stack[-1]
             message = "unclosed parenthesis" if mark is None else f"{mark} with no following form"
             raise ReadError(message, line0, col0, incomplete=True)
 
 
-def _atom_datum(name: str, line: int, col: int):
-    """The datum an upper-cased atom other than an integer denotes."""
+def _atom_datum(lexeme: str, line: int, col: int):
+    """The datum an atom's spelling denotes: an integer, keyword, T, NIL or symbol."""
+    if _INTEGER.fullmatch(lexeme):
+        if len(lexeme) < 20:
+            value = int(lexeme)
+        else:  # int() takes at most 4,300 digits; 20 past sign and zeros are out of range
+            value = int(lexeme.lstrip("+-0")[:20] or 0) * (-1 if lexeme[0] == "-" else 1)
+        if not INT_MIN <= value <= INT_MAX:
+            raise ReadError(f"integer literal {cut(lexeme)} outside the 64-bit signed range",
+                            line, col)
+        return value
+    name = lexeme.upper()
     if name[0] == ":":
         if len(name) == 1:
             raise ReadError("lone ':' is not a keyword", line, col)

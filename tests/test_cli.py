@@ -101,6 +101,12 @@ class TestRepl:
         assert proc.returncode == 0
         assert proc.stdout.endswith("...  20000\nclz> \n")
 
+    def test_a_long_string_literal_reads_each_line_once(self):
+        body = "".join(f"line {i}\n" for i in range(20_000))
+        proc = run_clz(stdin=f'(print "{body}")\n', timeout=30)
+        assert proc.returncode == 0
+        assert proc.stdout == "clz> " + "...  " * 20_000 + f'"{body}"\n' * 2 + "clz> \n"
+
 
 class TestRunFile:
     def test_quiet_run_prints_only_print_output(self, tmp_path):

@@ -113,7 +113,8 @@ class TestTokenize:
         assert (err.line, err.col) == (1, 3)
 
     def test_control_character_rejected(self):
-        for text, col in (("a\x01b", 2), ("\x0b", 1), ("12\x1f", 3), (":\x01", 2)):
+        for text, col in (("a\x01b", 2), ("\x0b", 1), ("12\x1f", 3), (":\x01", 2),
+                          ("99999999999999999999\x01", 21)):
             err = read_error(text)
             assert err.message.startswith("illegal character (codepoint")
             assert (err.line, err.col) == (1, col)
@@ -159,6 +160,27 @@ class TestTokenize:
         assert data("1+") == [sym("1+")]
         assert data("+1") == [1]
         assert data("(1+ +1)") == [[sym("1+"), 1]]
+
+    def test_integer_spellings_read_the_same_on_every_read(self):
+        # each row twice in one text, then again in a second read, which finds
+        # the spelling already seen
+        for text, datum in [("0", 0), ("-0", 0), ("+7", 7), ("007", 7),
+                            ("000000000000000000000001", 1),
+                            ("9223372036854775807", 2 ** 63 - 1),
+                            ("-9223372036854775808", -(2 ** 63)),
+                            ("+-1", sym("+-1")), ("1+", sym("1+")), ("1a", sym("1A")),
+                            ("+", sym("+")), ("-", sym("-")),
+                            ("\u0663", sym("\u0663")), ("\u00b2", sym("\u00b2"))]:
+            for _ in range(2):
+                forms = read_source(f"{text} {text}")
+                assert [(type(f.datum), f.datum) for f in forms] == [(type(datum), datum)] * 2
+                assert [(f.line, f.col) for f in forms] == [(1, 1), (1, len(text) + 2)]
+        # a spelling that raises is never stored, so it raises at its own column each time
+        text = "9223372036854775808"
+        for source, where in [(text, (1, 1)), (f"(x\n  {text})", (2, 3)), (text, (1, 1))]:
+            err = read_error(source)
+            assert err.message == f"integer literal {text} outside the 64-bit signed range"
+            assert (err.line, err.col) == where and not err.incomplete
 
     def test_blanks_before_a_lexeme_leave_its_position(self):
         err = read_error("  \x0b")
