@@ -44,11 +44,10 @@ _LEXEME = re.compile(
     r"|\Z|(.))", re.DOTALL)                 # 8 no lexeme starts here
 _ATOM, _OPEN, _CLOSE, _NEWLINE, _COMMENT, _QUOTE, _STRING, _ILLEGAL = range(1, 9)
 
-# The longest prefix of a string literal that is still well formed.
-_STRING_PREFIX = re.compile('"' + _STRING_BODY)
+# The longest run of a string literal's body that is still well formed.
+_BODY = re.compile(_STRING_BODY)
 _ESCAPE = re.compile(r'\\(["\\])')
-_UNENDED = re.compile(_STRING_BODY)   # a piece a string literal runs on past
-_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits only: not ٣ or ²
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, unlike str.isdigit
 _CONTROL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 _QUOTE_MARKS = {"'": Symbol.intern("QUOTE"), "#'": Symbol.intern("FUNCTION")}
@@ -118,7 +117,7 @@ class Reader:
         """The top-level forms ``piece`` finishes; ReadError at the first error."""
         text = piece
         if self._string:    # pieces end at newlines, so none splits an escape
-            if _UNENDED.fullmatch(piece):
+            if _BODY.fullmatch(piece):  # the literal runs on past this piece
                 self._string.append(piece)
                 return []
             text = "".join(self._string) + piece
@@ -223,7 +222,7 @@ def _diagnose(text: str, pos: int, line: int, line_start: int) -> ReadError:
     if text[pos] == "#":
         at, message = pos, "illegal character '#' (only #' is supported)"
     elif text[pos] == '"':
-        at = _STRING_PREFIX.match(text, pos).end()
+        at = _BODY.match(text, pos + 1).end()
         if at + 1 >= len(text):
             at, message, incomplete = pos, "unterminated string literal", True
         else:
