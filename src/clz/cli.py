@@ -2,29 +2,21 @@
 
 Evaluation runs on the main thread, so Ctrl-C reaches it: the REPL drops
 the running or the unclosed form and keeps the session; a file or --eval
-stops. Exit codes: 0 success, 1 evaluation or read error, 2 I/O error,
-3 step limit, 130 interrupted.
+stops. Exit codes: 0 success, 1 evaluation or read error or a standard
+output closed early, 2 I/O error or a bad option, 3 step limit,
+130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import Interpreter
 from .errors import LispError, StepLimitExceeded
 from .reader import Reader, read_source
 from .values import print_value
-
-
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if n <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,11 +30,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="evaluate the given form(s) and print each value")
     parser.add_argument("--memoize", action="store_true",
                         help="memoize thunks: call-by-need instead of call-by-name")
-    parser.add_argument("--step-limit", type=_positive_int, default=10_000_000,
+    parser.add_argument("--step-limit", type=int, default=10_000_000,
                         metavar="N",
                         help="evaluator steps + loop iterations allowed per "
                              "top-level form (default 10000000)")
-    parser.add_argument("--recursion-limit", type=_positive_int, default=10_000,
+    parser.add_argument("--recursion-limit", type=int, default=10_000,
                         metavar="N",
                         help="maximum nested evaluation depth (default 10000)")
     return parser
@@ -53,29 +45,22 @@ def _repl(interp: Interpreter) -> int:
 
     Each line is fed once to a reader that keeps what is open. A form left
     open at a line's end continues on the next, and a line's forms run once
-    none is left open. If EOF comes first, the open form's read-error is
-    printed, and the lines after the one it began on are read again. A read
-    error or Ctrl-C drops what is open, and Ctrl-C stops a running form.
+    none is left open. At EOF an open form's read-error is printed and its
+    lines are dropped unrun; the next EOF ends the session. A read error or
+    Ctrl-C drops what is open, and Ctrl-C stops a running form.
     """
     out = sys.stdout
-    reader, lines, forms = Reader(), [], []  # lines fed and forms read while open
-    replay: list[str] = []                   # lines read again after an unclosed form, last first
+    reader, forms = Reader(), []   # forms read while a form is open
     while True:
         try:
-            if replay:
-                line = replay.pop()
-            else:
-                out.write("...  " if reader.open else "clz> ")
-                out.flush()
-                line = sys.stdin.readline()
+            out.write("...  " if reader.open else "clz> ")
+            out.flush()
+            line = sys.stdin.readline()
             if line == "":
-                if not reader.open:
-                    out.write("\n")
-                    return 0
-                replay.extend(reversed(lines[1:]))
                 reader.close()   # raises the open form's read-error
-            elif reader.open or line.strip():   # a blank line at the prompt is skipped
-                lines.append(line)
+                out.write("\n")
+                return 0
+            if reader.open or line.strip():   # a blank line at the prompt is skipped
                 forms += reader.feed(line)
                 if reader.open:
                     continue
@@ -85,7 +70,7 @@ def _repl(interp: Interpreter) -> int:
             out.write(f"{err.kind} at {err.where()}: {err.message}\n")
         except KeyboardInterrupt:  # at the prompt, or while a form runs
             out.write("interrupted\n")
-        reader, lines, forms = Reader(), [], []
+        reader, forms = Reader(), []
 
 
 def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:
@@ -109,11 +94,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.file is not None and args.eval_text is not None:
         parser.error("give a FILE or --eval, not both")
-    interp = Interpreter(
-        memoize=args.memoize,
-        step_limit=args.step_limit,
-        recursion_limit=args.recursion_limit,
-    )
+    try:
+        interp = Interpreter(memoize=args.memoize, step_limit=args.step_limit,
+                             recursion_limit=args.recursion_limit)
+    except ValueError as err:   # a budget that is not positive
+        parser.error(str(err))
+    text, origin = args.eval_text, "<eval>"
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8-sig") as fh:
@@ -122,7 +108,13 @@ def main(argv=None) -> int:
             reason = err.strerror if isinstance(err, OSError) else err
             print(f"clz: cannot read {args.file}: {reason}", file=sys.stderr)
             return 2
-        return _run_text(interp, text, args.file, echo=False)
-    if args.eval_text is not None:
-        return _run_text(interp, args.eval_text, "<eval>", echo=True)
-    return _repl(interp)
+        origin = args.file
+    try:
+        code = (_repl(interp) if text is None
+                else _run_text(interp, text, origin, echo=args.file is None))
+        sys.stdout.flush()
+    except BrokenPipeError:   # stdout's reader left; what is still buffered goes nowhere
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    return code

@@ -51,7 +51,8 @@ class TestRepl:
         assert proc.returncode == 0
         assert "read-error" in proc.stdout
         assert "unclosed" in proc.stdout
-        assert "NIL" in proc.stdout
+        assert proc.stdout == ("clz> ...  ...  read-error at 1:1: unclosed parenthesis\n"
+                               "clz> \n")
 
     def test_form_continues_across_lines(self):
         proc = run_clz(stdin="(defun sq (x)\n  (* x x))\n(sq 7)\n")
@@ -106,6 +107,26 @@ class TestRepl:
         proc = run_clz(stdin=f'(print "{body}")\n', timeout=30)
         assert proc.returncode == 0
         assert proc.stdout == "clz> " + "...  " * 20_000 + f'"{body}"\n' * 2 + "clz> \n"
+
+    def test_unclosed_forms_at_end_of_input_are_one_read_error(self):
+        # the open form's lines are dropped at EOF, not read again
+        proc = run_clz(stdin="(\n" * 20_000, timeout=30)
+        assert proc.returncode == 0
+        assert proc.stdout.count("read-error") == 1
+        assert proc.stdout.endswith("read-error at 20000:1: unclosed parenthesis\nclz> \n")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("mode", ["file", "eval", "repl"])
+    def test_a_closed_stdout_exits_one_without_a_traceback(self, tmp_path, mode):
+        args = {"file": [script(tmp_path, "(print 1)\n")],
+                "eval": ["--eval", "(+ 1 2)"], "repl": []}[mode]
+        proc = subprocess.Popen(CLZ + args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()   # before the child writes anything
+        _, err = proc.communicate("(+ 1 2)\n", timeout=60)
+        assert proc.returncode == 1
+        assert err == ""
 
 
 class TestRunFile:

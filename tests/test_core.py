@@ -214,6 +214,16 @@ class TestSpecialFormShapes:
         assert self._malformed(interp, source) == (message, "1:1")
         assert self._malformed(interp, f"(progn 1 {source})") == (message, "1:10")
 
+    @pytest.mark.parametrize("source, message, where", [
+        ("(ecase 'a 5)", "malformed ecase clause 5", "1:11"),
+        ("(ecase 'a ((b) 1))", "ecase clause keys must be unevaluated symbols", "1:12"),
+    ])
+    def test_bad_ecase_clause(self, interp, source, message, where):
+        assert self._malformed(interp, source) == (message, where)
+
+    def test_ecase_clauses_after_the_match_are_not_checked(self, interp):
+        assert interp.run("(ecase 'a (a 1) 5)") == 1
+
     def test_unevaluated_lambda_in_function_is_checked(self, interp):
         message = "lambda needs a lambda list"
         assert self._malformed(interp, "#'(lambda)") == (message, "1:3")
@@ -257,6 +267,15 @@ class TestApplication:
         with pytest.raises(EvalError) as exc:
             interp.run("(one 1 2)")
         assert exc.value.kind == "arity-mismatch"
+
+    @pytest.mark.parametrize("source, message", [
+        ("(-)", "- takes at least 1 argument(s), got 0"),
+        ("(funcall)", "FUNCALL takes at least 1 argument(s), got 0"),
+    ])
+    def test_builtin_with_too_few_arguments(self, interp, source, message):
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert (exc.value.kind, exc.value.message) == ("arity-mismatch", message)
 
     def test_error_carries_position(self, interp):
         with pytest.raises(EvalError) as exc:
@@ -422,6 +441,11 @@ class TestLambdaListBinding:
 
 
 class TestBudgets:
+    @pytest.mark.parametrize("budget", ["step_limit", "recursion_limit"])
+    def test_a_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match=f"^{budget} must be positive$"):
+            Interpreter(**{budget: 0}, prelude=False)
+
     def test_recursion_limit_kind(self):
         interp = Interpreter(recursion_limit=300, prelude=False)
         interp.run("(defun down (n) (if (= n 0) 0 (down (- n 1))))")
