@@ -97,8 +97,9 @@ def main(argv=None) -> int:
     try:
         interp = Interpreter(memoize=args.memoize, step_limit=args.step_limit,
                              recursion_limit=args.recursion_limit)
-    except ValueError as err:   # a budget that is not positive
-        parser.error(str(err))
+    except ValueError as err:   # "step_limit must be positive": name the option
+        name, _, reason = str(err).partition(" ")
+        parser.error(f"argument --{name.replace('_', '-')}: {reason}")
     text, origin = args.eval_text, "<eval>"
     if args.file is not None:
         try:

@@ -1,10 +1,10 @@
 """Evaluator core: environments, special forms, application, binding.
 
 An Interpreter owns a global environment, the effect/thunk counters, and
-the step and depth budgets. Laziness shows up here in exactly two places:
-symbol reads force the thunks in a lazy frame's slots, and apply, which alone
-decides which calls may enter a function, has a lazy mode whose binder
-builds that frame.
+the step and depth budgets. Laziness shows up here in two places: a symbol
+read forces a thunk found in a lazy frame's slot (one rule, which lookup and,
+in place, evaluate's call loop apply), and apply, which alone decides which
+calls may enter a function, has a lazy mode whose binder builds that frame.
 """
 
 from __future__ import annotations
@@ -119,9 +119,11 @@ class Interpreter:
     # ---------------------------------------------------------- evaluator
 
     def evaluate(self, form: Form, env: Environment):
-        """The value of ``form`` in ``env``. A tail, the chosen if branch or
-        a body's last form, goes round the loop instead of nesting, with the
-        steps, depth and error position that nesting would give."""
+        """The value of ``form`` in ``env``. ``if`` and a call's bound operand
+        symbols run in this loop, with no handler or lookup call. A tail, the
+        chosen if branch or a body's last form, goes round the loop instead of
+        nesting, with the steps, depth and error position that nesting would
+        give."""
         depth = self._depth
         call = None  # the innermost list form entered: it positions errors
         try:
@@ -141,9 +143,7 @@ class Interpreter:
                 handler = form.cache
                 if handler is None:
                     handler = form.cache = _dispatch(form)
-                if handler is not _CALL:
-                    result = handler(self, form, env)
-                else:
+                if handler is _CALL:
                     # The head, then the arguments, left to right. An atom
                     # item is evaluated here, as evaluate would: one step,
                     # then its value; only a list item costs a nested evaluate.
@@ -156,15 +156,38 @@ class Interpreter:
                         self._steps += 1
                         if self._steps > self.step_limit:
                             raise self._out_of_steps(item)
-                        values.append(self.lookup(d, env, item) if type(d) is Symbol else d)
+                        if type(d) is Symbol:  # lookup's rule, read in place
+                            frame = env
+                            while frame is not None:
+                                slot = frame.get(d, _MISSING)
+                                if slot is not _MISSING:
+                                    d = slot
+                                    if frame.lazy and type(d) is Thunk:
+                                        d = force(self, d)
+                                    break
+                                frame = frame.parent
+                            else:
+                                self.lookup(d, env, item)  # unbound: raises
+                        values.append(d)
                     result = self.apply(values[0], values[1:])
+                elif handler is _IF:  # the chosen branch is a tail
+                    if self.evaluate(datum[1], env) is not NIL:
+                        form = datum[2]
+                    elif len(datum) == 4:
+                        form = datum[3]
+                    else:
+                        return NIL
+                    continue
+                else:
+                    result = handler(self, form, env)
                 if type(result) is not tuple:
                     return result
                 body, env = result  # a tail: the body to run and its frame
                 if not body:
                     return NIL
-                for item in body[:-1]:
-                    self.evaluate(item, env)
+                if len(body) > 1:
+                    for item in body[:-1]:
+                        self.evaluate(item, env)
                 form = body[-1]
         except LispError as err:
             if err.line is None and call is not None:
@@ -343,13 +366,6 @@ def _sf_quote(interp, form, env):
     return quoted.cache
 
 
-def _sf_if(interp, form, env):
-    items = form.datum
-    if interp.evaluate(items[1], env) is not NIL:
-        return items[2:3], env
-    return items[3:], env  # no else-form: an empty tail, which is nil
-
-
 def _sf_progn(interp, form, env):
     return form.datum[1:], env
 
@@ -450,8 +466,8 @@ def _sf_loop(interp, form, env):
 
 
 def _dispatch(form: Form):
-    """The handler of list ``form``'s special form, or _CALL for a call.
-    A malformed special form raises, so a failed check is never cached."""
+    """The handler of list ``form``'s special form, _IF for an if, or _CALL for
+    a call. A malformed special form raises, so a failed check is never cached."""
     head = form.datum[0].datum
     special = _SPECIAL_FORMS.get(head) if type(head) is Symbol else None
     if special is None:
@@ -463,17 +479,18 @@ def _dispatch(form: Form):
 
 
 _CALL = object()  # form.cache of a list form that is a call
+_IF = object()  # form.cache of an if, which evaluate runs itself
 _DEFLAZY = Symbol.intern("DEFLAZY")
 _LAMBDA = Symbol.intern("LAMBDA")
 _ANY = sys.maxsize  # no upper bound on a form's item count
 
-# Each special form's handler and shape: the fewest and the most items
+# Each special form's handler (or _IF) and shape: the fewest and the most items
 # its list may have, head included, and the malformed-special-form
 # message for any other count. _dispatch checks the count before a handler
 # first runs, so a handler may index every item its shape guarantees.
 _SPECIAL_FORMS = {
     Symbol.intern("QUOTE"): (_sf_quote, 2, 2, "quote takes exactly one form"),
-    Symbol.intern("IF"): (_sf_if, 3, 4, "if takes a condition, a then-form, "
+    Symbol.intern("IF"): (_IF, 3, 4, "if takes a condition, a then-form, "
                           "and an optional else-form"),
     Symbol.intern("PROGN"): (_sf_progn, 1, _ANY, None),
     Symbol.intern("LET"): (_sf_let, 2, _ANY, "let needs a binding list"),

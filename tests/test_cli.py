@@ -247,9 +247,13 @@ class TestEvalFlag:
                                + "... outside the 64-bit signed range\n")
 
     def test_bad_limit_value_rejected(self):
-        for bad in ("0", "-3", "many"):
-            proc = run_clz("--step-limit", bad, "--eval", "1")
-            assert proc.returncode == 2
+        for option in ("--step-limit", "--recursion-limit"):
+            for bad in ("0", "-3", "many"):
+                proc = run_clz(f"{option}={bad}", "--eval", "1")
+                assert proc.returncode == 2
+                assert f"argument {option}: " in proc.stderr
+            proc = run_clz(option, "0", "--eval", "1")
+            assert proc.stderr.endswith(f"clz: error: argument {option}: must be positive\n")
 
 
 class TestFlags:

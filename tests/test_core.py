@@ -288,6 +288,18 @@ class TestApplication:
             interp.run("\n   (diverge)")
         assert (exc.value.line, exc.value.col) == (2, 4)
 
+    @pytest.mark.parametrize("source, printed", [
+        # a strict frame's thunk is passed on as it is, unforced
+        ("(let ((d (delay (diverge)))) (cons 1 d))", "(1 . #<thunk>)"),
+        # a parameter shadows the global function of the same name
+        ("(defun f (car) (+ car 1)) (f 2)", "3"),
+        # A is bound two frames above the innermost body's frame
+        ("(defun adder (a) (lambda (b) (lambda (c) (list a b c))))"
+         " (funcall (funcall (adder 1) 2) 3)", "(1 2 3)"),
+    ], ids=["strict-thunk", "shadowed-global", "two-frames-up"])
+    def test_operand_symbols_read_as_lookup_does(self, interp, source, printed):
+        assert print_value(interp.run(source)) == printed
+
 
 # Every malformed-lambda-list message, with the line:col it is reported at.
 _BAD_LAMBDA_LISTS = [
