@@ -27,13 +27,11 @@ from .values import (
 
 
 def _not_int(who: str, value) -> EvalError:
-    return EvalError(f"{who} expects integers, got {brief(value)}",
-                     None, None, kind="type-error")
+    return EvalError(f"{who} expects integers, got {brief(value)}", kind="type-error")
 
 
 def _overflow(who: str) -> EvalError:
-    return EvalError(f"{who}: result exceeds the 64-bit signed range",
-                     None, None, kind="overflow")
+    return EvalError(f"{who}: result exceeds the 64-bit signed range", kind="overflow")
 
 
 def _bi_add(interp, args):
@@ -111,8 +109,7 @@ def _bi_car(interp, args):
         return NIL
     if isinstance(v, Cons):
         return v.car
-    raise EvalError(f"car expects a cons or nil, got {brief(v)}",
-                    None, None, kind="type-error")
+    raise EvalError(f"car expects a cons or nil, got {brief(v)}", kind="type-error")
 
 
 def _bi_cdr(interp, args):
@@ -121,8 +118,7 @@ def _bi_cdr(interp, args):
         return NIL
     if isinstance(v, Cons):
         return v.cdr
-    raise EvalError(f"cdr expects a cons or nil, got {brief(v)}",
-                    None, None, kind="type-error")
+    raise EvalError(f"cdr expects a cons or nil, got {brief(v)}", kind="type-error")
 
 
 def _bi_list(interp, args):

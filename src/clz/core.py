@@ -103,7 +103,6 @@ class Interpreter:
     def eval_top(self, form: Form):
         """Evaluate one top-level form with fresh step/depth budgets."""
         self._steps = 0
-        self._depth = 0
         found = sys.getrecursionlimit()
         sys.setrecursionlimit(min(found + self.recursion_limit * _FRAMES_PER_DEPTH, _MAX_CEILING))
         try:
@@ -139,7 +138,7 @@ class Interpreter:
                 if self._depth > self.recursion_limit:
                     raise EvalError(
                         f"recursion depth exceeded the limit of {self.recursion_limit}",
-                        form.line, form.col, kind="recursion-limit")
+                        kind="recursion-limit")
                 handler = form.cache
                 if handler is None:
                     handler = form.cache = _dispatch(form)
@@ -206,7 +205,7 @@ class Interpreter:
                     return force(self, slot)
                 return slot
             frame = frame.parent
-        where = (form.line, form.col) if form is not None else (None, None)
+        where = (form.line, form.col) if form is not None else ()
         raise EvalError(f"unbound symbol {cut(symbol.name)}", *where, kind="unbound-symbol")
 
     def _out_of_steps(self, form: Form) -> StepLimitExceeded:
@@ -230,14 +229,13 @@ class Interpreter:
         while True:
             kind = type(fn)
             if kind is not FunctionObject and kind is not BuiltinFunction:
-                raise EvalError(f"{brief(fn)} is not a function",
-                                None, None, kind="not-a-function")
+                raise EvalError(f"{brief(fn)} is not a function", kind="not-a-function")
             if not (fn.lazy if lazy else fn.strict):
                 if lazy:
                     raise EvalError(f"{_label(fn)} is strict and has no lazy version",
-                                    None, None, kind="no-lazy-version")
+                                    kind="no-lazy-version")
                 raise EvalError(f"{brief(fn)} has the lazy calling convention; "
-                                "call it with lazy-call", None, None, kind="lazy-through-strict")
+                                "call it with lazy-call", kind="lazy-through-strict")
             if kind is FunctionObject:
                 return fn.body, self.bind_lambda_list(fn, args, lazy)
             if lazy:
@@ -259,8 +257,7 @@ class Interpreter:
             shape = str(fn.min_args)
         else:
             shape = f"{fn.min_args} to {fn.max_args}"
-        raise EvalError(f"{_label(fn)} takes {shape} argument(s), got {n}",
-                        None, None, kind="arity-mismatch")
+        raise EvalError(f"{_label(fn)} takes {shape} argument(s), got {n}", kind="arity-mismatch")
 
     # ------------------------------------------------------------ binding
 
@@ -280,9 +277,8 @@ class Interpreter:
         n = len(args)
         nreq = len(ll.required)
         if n < nreq:
-            raise EvalError(
-                f"{_label(fn)} expected at least {nreq} argument(s), got {n}",
-                None, None, kind="arity-mismatch")
+            raise EvalError(f"{_label(fn)} expected at least {nreq} argument(s), got {n}",
+                            kind="arity-mismatch")
         i = 0
         for name in ll.required:
             frame[name] = args[i]
@@ -300,29 +296,25 @@ class Interpreter:
         elif tail and ll.rest is None:
             raise EvalError(
                 f"{_label(fn)} expected at most {len(ll.required) + len(ll.optional)} "
-                f"argument(s), got {n}",
-                None, None, kind="arity-mismatch")
+                f"argument(s), got {n}", kind="arity-mismatch")
         return frame
 
     def _keyword_pairs(self, frame: Environment, fn: FunctionObject, tail: list) -> dict:
         label = _label(fn)
         if len(tail) % 2 != 0:
-            raise EvalError(
-                f"{label} received an odd number of keyword arguments",
-                None, None, kind="odd-keyword-arguments")
+            raise EvalError(f"{label} received an odd number of keyword arguments",
+                            kind="odd-keyword-arguments")
         known = {key.keyword for key in fn.lambda_list.keys}
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
             if frame.lazy:
                 marker = force(self, marker)
             if not isinstance(marker, Keyword):
-                raise EvalError(
-                    f"{label} expected a keyword marker, got {brief(marker)}",
-                    None, None, kind="type-error")
+                raise EvalError(f"{label} expected a keyword marker, got {brief(marker)}",
+                                kind="type-error")
             if marker not in known:
-                raise EvalError(
-                    f"{label} does not accept the keyword {brief(marker)}",
-                    None, None, kind="unknown-keyword-argument")
+                raise EvalError(f"{label} does not accept the keyword {brief(marker)}",
+                                kind="unknown-keyword-argument")
             if marker not in pairs:  # first occurrence wins
                 pairs[marker] = value
         return pairs
@@ -421,24 +413,24 @@ def _sf_defun(interp, form, env):
     defun of the name replaces the object, and with it the lazy face.
     """
     items = form.datum
-    head = items[0].datum
-    name_form = items[1]
-    if not isinstance(name_form.datum, Symbol):
-        raise _malformed(f"{head.name.lower()} name must be a symbol", name_form)
-    name = name_form.datum
+    name = _defined_name(form)
     fn = FunctionObject(name, lambda_list_of(items[2]), items[3:], env,
-                        lazy=head is _DEFLAZY)
+                        lazy=items[0].datum is _DEFLAZY)
     interp.global_env[name] = fn
     return name
 
 
 def _sf_defparameter(interp, form, env):
-    items = form.datum
-    name_form = items[1]
+    name = _defined_name(form)
+    interp.global_env[name] = interp.evaluate(form.datum[2], env)
+    return name
+
+
+def _defined_name(form: Form) -> Symbol:
+    """The symbol that a defun, deflazy or defparameter form defines."""
+    head, name_form = form.datum[0].datum, form.datum[1]
     if not isinstance(name_form.datum, Symbol):
-        raise _malformed("defparameter name must be a symbol", name_form)
-    value = interp.evaluate(items[2], env)
-    interp.global_env[name_form.datum] = value
+        raise _malformed(f"{head.name.lower()} name must be a symbol", name_form)
     return name_form.datum
 
 
@@ -454,8 +446,7 @@ def _sf_ecase(interp, form, env):
             raise _malformed("ecase clause keys must be unevaluated symbols", d[0])
         if clause_key is key:
             return d[1:], env
-    raise EvalError(f"{brief(key)} matched no ecase clause",
-                    form.line, form.col, kind="ecase-no-match")
+    raise EvalError(f"{brief(key)} matched no ecase clause", kind="ecase-no-match")
 
 
 def _sf_loop(interp, form, env):

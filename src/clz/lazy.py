@@ -16,6 +16,7 @@ from .reader import Form
 from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, brief
 
 _QUOTE = Symbol.intern("QUOTE")
+_BLACKHOLE = object()  # a by-need thunk's expr while force computes its value
 
 
 def delay(interp, form: Form, env) -> Thunk:
@@ -31,46 +32,44 @@ def force(interp, value):
     slot, unforced, goes round this loop: such a chain nests no host frames.
     By need (``interp.memoize``), every thunk along the chain is backfilled
     with the final value, so a memo cell never holds another thunk. While
-    its value is being computed a thunk is marked, and forcing it again
-    from inside that computation is a reentrant-force error, because its
-    memo cell would otherwise be written more than once. If the
-    computation fails, the thunks on the chain go back to unevaluated.
+    its value is being computed a thunk's ``expr`` is the black hole, and
+    forcing it again from inside that computation is a reentrant-force
+    error, because its memo cell would otherwise be written more than once.
+    If the computation fails, the thunks on the chain get their forms back.
     """
     memoize = interp.memoize
-    pending = None
+    pending = None  # by need: each thunk on the chain, with its form
     try:
         while isinstance(value, Thunk):
             t = value
-            if t.done:
+            expr = t.expr
+            if expr is None:  # a memo cell
                 value = t.value
                 break
             if memoize:
-                if t.forcing:
+                if expr is _BLACKHOLE:
                     raise EvalError("thunk forced again while its value is being computed",
-                                    None, None, kind="reentrant-force")
-                t.forcing = True
+                                    kind="reentrant-force")
                 if pending is None:
                     pending = []
-                pending.append(t)
-            if type(t.expr.datum) is not Symbol:
-                value = interp.evaluate(t.expr, t.env)
+                pending.append((t, expr))  # first, so no black hole is left unlisted
+                t.expr = _BLACKHOLE
+            if type(expr.datum) is not Symbol:
+                value = interp.evaluate(expr, t.env)
                 continue
             interp._steps += 1
             if interp._steps > interp.step_limit:
-                raise interp._out_of_steps(t.expr)
-            value = interp.lookup(t.expr.datum, t.env, t.expr, follow=False)
+                raise interp._out_of_steps(expr)
+            value = interp.lookup(expr.datum, t.env, expr, follow=False)
     except BaseException:
         if pending is not None:
-            for t in pending:
-                t.forcing = False
+            for t, expr in pending:
+                t.expr = expr
         raise
     if pending is not None:
-        for t in pending:
-            t.done = True
-            t.forcing = False
+        for t, _ in pending:
             t.value = value
-            t.expr = None
-            t.env = None
+            t.expr = t.env = None
     return value
 
 
@@ -103,7 +102,7 @@ def eval_lazy_call(interp, form: Form, env):
             op = interp.lookup(op, interp.global_env)
         except EvalError:
             raise EvalError(f"{brief(op)} has no lazy version (define it with deflazy)",
-                            None, None, kind="no-lazy-version") from None
+                            kind="no-lazy-version") from None
     args = []
     for arg_form in items[2:]:
         if constant_p(arg_form):

@@ -58,12 +58,8 @@ class _Nil(_Value):
         return False
 
 
-class _True(_Value):
-    __slots__ = ()
-
-
 NIL = _Nil()
-T = _True()
+T = _Value()
 
 
 class Cons(_Value):
@@ -80,19 +76,18 @@ class Thunk(_Value):
     """A delayed expression closed over its environment.
 
     Whether it memoizes is its interpreter's ``memoize``, read by force.
-    By name, force never touches ``value``; by need, it writes it at most
-    once, and never stores another thunk there (force resolves chains
-    fully before memoizing). By need, ``forcing`` is set while force
-    computes the value.
+    By name, force never touches the thunk. By need, ``expr`` is its
+    state: the form while unevaluated, force's black hole while force
+    computes it, and None once ``value`` holds it. Force writes ``value``
+    at most once, and never another thunk (it resolves chains fully
+    before memoizing).
     """
 
-    __slots__ = ("expr", "env", "done", "forcing", "value")
+    __slots__ = ("expr", "env", "value")
 
     def __init__(self, expr, env):
         self.expr = expr
         self.env = env
-        self.done = False
-        self.forcing = False
         self.value = None
 
 

@@ -790,3 +790,23 @@ class TestErrorKinds:
         with pytest.raises(EvalError) as exc:
             interp.run(source)
         assert (exc.value.kind, exc.value.message) == (kind, message)
+
+    # evaluate's except positions a call-level error at the innermost call
+    # form, and one check names each definition's symbol.
+    @pytest.mark.parametrize("limit, source, kind, where, message", [
+        (3, "(+ 1 (+ 1 (+ 1 (+ 1 2))))", "recursion-limit", "1:16",
+         "recursion depth exceeded the limit of 3"),
+        (None, "(ecase (quote b)\n  (a 1))", "ecase-no-match", "1:1",
+         "B matched no ecase clause"),
+        (None, "(defun 1 (x) x)", "malformed-special-form", "1:8",
+         "defun name must be a symbol"),
+        (None, '(deflazy "f" () 1)', "malformed-special-form", "1:10",
+         "deflazy name must be a symbol"),
+        (None, "(defparameter :k 1)", "malformed-special-form", "1:15",
+         "defparameter name must be a symbol"),
+    ], ids=["depth", "ecase", "defun", "deflazy", "defparameter"])
+    def test_kind_position_and_message(self, limit, source, kind, where, message):
+        interp = Interpreter(recursion_limit=limit or 10_000, prelude=False)
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert (exc.value.kind, exc.value.where(), exc.value.message) == (kind, where, message)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from clz import (
     NIL,
+    BuiltinFunction,
     Cons,
     DivergenceError,
     EvalError,
     FunctionObject,
     Interpreter,
+    StepLimitExceeded,
     Symbol,
     Thunk,
     print_value,
@@ -69,7 +71,7 @@ class TestDelayForce:
         interp_memo.run("(defparameter inner (delay (+ 1 2)))")
         outer = interp_memo.run("(delay inner)")
         assert force(interp_memo, outer) == 3
-        assert outer.done and not isinstance(outer.value, Thunk)
+        assert outer.expr is None and not isinstance(outer.value, Thunk)
 
     def test_forcing_propagates_errors(self, interp):
         with pytest.raises(DivergenceError):
@@ -79,6 +81,7 @@ class TestDelayForce:
         src = "(defparameter x (delay (if (< (tick!) 3) (+ 100 (force x)) 0)))"
         interp_memo.run(src)
         x = interp_memo.global_env[Symbol.intern("X")]
+        form = x.expr
         for ticks in (1, 2):
             with pytest.raises(EvalError) as exc:
                 interp_memo.run("(force x)")
@@ -86,7 +89,7 @@ class TestDelayForce:
             # positioned at the inner force form
             assert (exc.value.line, exc.value.col) == (1, src.index("(force x)") + 1)
             # the failed force left x unevaluated, so the next one re-runs it
-            assert not x.done and not x.forcing
+            assert x.expr is form
             assert interp_memo.tick_count == ticks
 
     def test_memo_thunk_depending_on_itself_is_reentrant_force(self, interp_memo):
@@ -134,20 +137,57 @@ class TestDelayForce:
         assert interp.run("(funcall f t)") == ticks
         assert interp.tick_count == ticks
         # by need, every memo cell on the chain, root and end, holds the value
-        assert (first.done, last.done) == (memoize, memoize)
+        assert (first.expr is None, last.expr is None) == (memoize, memoize)
         if memoize:
             assert (first.value, last.value) == (1, 1)
 
     def test_a_chain_whose_root_forces_its_end_is_reentrant_force(self):
         interp = Interpreter(memoize=True, prelude=False)
         first, last = self.chain(interp, "(progn (tick!) (funcall f t))")
+        forms = (first.expr, last.expr)
         for ticks in (1, 2):
             with pytest.raises(EvalError) as exc:
                 interp.run("(funcall f t)")
             assert exc.value.kind == "reentrant-force"
             # the failed force reset the chain, so the next one runs it again
             assert interp.tick_count == ticks
-            assert not (first.done or first.forcing or last.done or last.forcing)
+            assert first.expr is forms[0] and last.expr is forms[1]
+
+    # A force cut short by anything, not only a reentrant force, leaves the
+    # thunk as it was, so the next force runs it again.
+    @pytest.mark.parametrize("memoize, ticks", [(False, 3), (True, 2)],
+                             ids=["by-name", "by-need"])
+    def test_an_interrupted_force_runs_again(self, memoize, ticks):
+        calls = []
+
+        def stop(interp, args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return 7
+
+        interp = Interpreter(memoize=memoize, prelude=False)
+        name = Symbol.intern("STOP")
+        interp.global_env[name] = BuiltinFunction(name, stop, 0, 0)
+        interp.run("(defparameter x (delay (progn (tick!) (stop))))")
+        with pytest.raises(KeyboardInterrupt):
+            interp.run("(force x)")
+        assert interp.run("(force x)") == 7
+        assert interp.tick_count == 2
+        assert interp.run("(force x)") == 7
+        assert interp.tick_count == ticks
+        assert interp._depth == 0
+
+    def test_a_force_out_of_steps_runs_again_by_need(self):
+        interp = Interpreter(memoize=True, step_limit=50, prelude=False)
+        interp.run("(defparameter x (delay (progn (tick!) (loop))))")
+        x = interp.global_env[Symbol.intern("X")]
+        form = x.expr
+        for ticks in (1, 2):
+            with pytest.raises(StepLimitExceeded):
+                interp.run("(force x)")
+            assert interp.tick_count == ticks
+            assert x.expr is form
 
 
 class TestDeflazy:
