@@ -3,8 +3,9 @@
 An Interpreter owns a global environment, the effect/thunk counters, and
 the step and depth budgets. Laziness shows up here in two places: a symbol
 read forces a thunk found in a lazy frame's slot (one rule, which lookup and,
-in place, evaluate's call loop apply), and apply, which alone decides which
-calls may enter a function, has a lazy mode whose binder builds that frame.
+in place, evaluate's call loop apply), and apply has a lazy mode whose binder
+builds that frame. evaluate's loop enters a strict function, or a builtin
+given an argument count in its arity, itself; apply decides every other call.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .values import (
 # The host stack: each host recursion passes through a list form that the
 # depth guard counts; force follows thunks over variables in its own loop.
 # Measured on Python 3.11, the most host frames per unit of depth is 4, in
-# strict &optional default recursion: evaluate, apply, bind_lambda_list,
-# _bind_param. A Python-to-Python call takes no C stack, so any thread may
-# take the ceiling; sys.setrecursionlimit takes at most 2**31 - 1.
+# a strict &optional or &key default that recurs through funcall: evaluate,
+# apply, bind_lambda_list, _bind_param (3 when it calls the function itself).
+# A Python-to-Python call takes no C stack, so any thread may take the
+# ceiling; sys.setrecursionlimit takes at most 2**31 - 1.
 _FRAMES_PER_DEPTH, _MAX_CEILING = 4, 2**31 - 1
 _MISSING = object()
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
@@ -119,10 +121,11 @@ class Interpreter:
 
     def evaluate(self, form: Form, env: Environment):
         """The value of ``form`` in ``env``. ``if`` and a call's bound operand
-        symbols run in this loop, with no handler or lookup call. A tail, the
-        chosen if branch or a body's last form, goes round the loop instead of
-        nesting, with the steps, depth and error position that nesting would
-        give."""
+        symbols run in this loop, with no handler or lookup call, and so does a
+        strict call of a strict function or of a builtin within its arity; apply
+        takes every other call. A tail, the chosen if branch or a body's last
+        form, goes round the loop instead of nesting, with the steps, depth and
+        error position that nesting would give."""
         depth = self._depth
         call = None  # the innermost list form entered: it positions errors
         try:
@@ -146,11 +149,11 @@ class Interpreter:
                     # The head, then the arguments, left to right. An atom
                     # item is evaluated here, as evaluate would: one step,
                     # then its value; only a list item costs a nested evaluate.
-                    values = []
+                    args = []
                     for item in datum:
                         d = item.datum
                         if type(d) is list:
-                            values.append(self.evaluate(item, env))
+                            args.append(self.evaluate(item, env))
                             continue
                         self._steps += 1
                         if self._steps > self.step_limit:
@@ -167,8 +170,16 @@ class Interpreter:
                                 frame = frame.parent
                             else:
                                 self.lookup(d, env, item)  # unbound: raises
-                        values.append(d)
-                    result = self.apply(values[0], values[1:])
+                        args.append(d)
+                    fn = args.pop(0)
+                    if type(fn) is FunctionObject and fn.strict:
+                        result = fn.body, self.bind_lambda_list(fn, args, False)
+                    elif (type(fn) is BuiltinFunction and fn.strict and fn.fn is not None
+                          and fn.min_args <= len(args)
+                          and (fn.max_args is None or len(args) <= fn.max_args)):
+                        result = fn.fn(self, args)
+                    else:
+                        result = self.apply(fn, args)
                 elif handler is _IF:  # the chosen branch is a tail
                     if self.evaluate(datum[1], env) is not NIL:
                         form = datum[2]
@@ -215,9 +226,11 @@ class Interpreter:
     # -------------------------------------------------------- application
 
     def apply(self, fn, args: list, lazy: bool = False):
-        """Apply a function to its arguments: the one place that decides
-        whether a value may be entered by a strict or a lazy call.
+        """Apply a function to its arguments: the one place that refuses a
+        call, or enters a function lazily or through funcall.
 
+        evaluate's loop enters a strict call of a strict function, or of a
+        builtin given an argument count in its arity, without coming here.
         A strict call passes evaluated values; a lazy call (from
         lazy-call) passes values and thunks: parameters bind lazily, and
         a builtin gets its arguments forced. A function's body is not run
@@ -330,13 +343,14 @@ class Interpreter:
             supplied = NIL
             if param.default is None:
                 value = NIL
-            elif frame.lazy:
-                # the default sees the parameters bound so far, not later ones
-                seen = Environment(frame.parent, lazy=True)
-                seen.update(frame)
-                value = delay(self, param.default, seen)
             else:
-                value = self.evaluate(param.default, frame)
+                # the default sees the parameters bound so far, not later ones
+                seen = Environment(frame.parent, frame.lazy)
+                seen.update(frame)
+                if frame.lazy:
+                    value = delay(self, param.default, seen)
+                else:
+                    value = self.evaluate(param.default, seen)
         frame[param.name] = value
         if param.supplied is not None:
             frame[param.supplied] = supplied

@@ -1,7 +1,7 @@
 """Lazy calling convention: thunks, lazy-call, lazy, delay.
 
 A function defined with ``deflazy`` is one function object that both
-kinds of call may enter, as Interpreter.apply decides: ordinary calls
+kinds of call may enter, as its two flags say: ordinary calls
 run it strictly, and ``lazy-call`` enters it lazily, passing constants
 through and wrapping every other argument form as a thunk that the body
 forces only when it actually reads the parameter.

@@ -300,6 +300,45 @@ class TestApplication:
     def test_operand_symbols_read_as_lookup_does(self, interp, source, printed):
         assert print_value(interp.run(source)) == printed
 
+    # (OP ARGS...) enters a strict function or an in-arity builtin in
+    # evaluate's loop; (funcall OP ARGS...) always goes through apply.
+    @pytest.mark.parametrize("op, args, expected", [
+        ("sq", "3", "9"),
+        ("sq", "", "arity-mismatch"),
+        ("sq", "1 2", "arity-mismatch"),
+        ("(lambda (&optional (x 2)) x)", "", "2"),
+        ("car", "", "arity-mismatch"),
+        ("car", "'(1 2)", "1"),
+        ("car", "1 2", "arity-mismatch"),
+        ("car", "1", "type-error"),
+        ("-", "", "arity-mismatch"),
+        ("-", "5 2 1", "2"),
+        ("+", "", "0"),
+        ("list", "1 2 3 4 5", "(1 2 3 4 5)"),
+        ("(lazy #'car)", "'(1)", "lazy-through-strict"),
+        ("(lazy #'sq)", "3", "lazy-through-strict"),
+        ("1", "2", "not-a-function"),
+        ('"s"', "", "not-a-function"),
+        ("funcall", "#'car '(1 2)", "1"),
+        ("funcall", "", "arity-mismatch"),
+        ("funcall", "#'sq 4", "16"),
+    ])
+    def test_a_call_and_its_funcall_agree(self, op, args, expected):
+        def outcome(source):
+            interp = Interpreter(prelude=False)
+            interp.run("(defun sq (x) (* x x))")
+            try:
+                return print_value(interp.run(source))
+            except LispError as err:
+                return err.kind, err.message, f"{err.line}:{err.col}"
+
+        direct = outcome(f"\n  ({op} {args})")
+        assert direct == outcome(f"\n  (funcall {op} {args})")
+        if isinstance(direct, tuple):
+            assert (direct[0], direct[2]) == (expected, "2:3")
+        else:
+            assert direct == expected
+
 
 # Every malformed-lambda-list message, with the line:col it is reported at.
 _BAD_LAMBDA_LISTS = [
@@ -521,6 +560,7 @@ class TestBudgets:
         ("(defun f (n) (+ 1 (f n)))", "(f 1)"),
         ("(defun f (n) (+ 1 (funcall #'f n)))", "(f 1)"),
         ("(defun d (&optional (x (d))) x)", "(d)"),
+        ("(defun d (&optional (x (funcall #'d))) x)", "(d)"),
         ("(deflazy d (&optional (x (lazy-call 'd))) x)", "(lazy-call 'd)"),
         ("(defun f () (lazy-call (lazy #'+) 1 (f)))", "(f)"),
         ("(deflazy k (&key a) a) (defun f () (lazy-call 'k (f) 1))", "(f)"),
@@ -534,7 +574,7 @@ class TestBudgets:
         ("(defun f () (lazy-call (f)))", "(f)"),
         ("", "(" * 50_000 + ")" * 50_000),
     ], ids=["argument", "funcall-argument", "strict-optional-default",
-            "lazy-optional-default", "lazy-builtin", "key-marker",
+            "funcall-optional-default", "lazy-optional-default", "lazy-builtin", "key-marker",
             "function-of-a-lazy-slot", "force-delay", "if-test", "let-initializer",
             "ecase-key", "defparameter-value", "lazy", "lazy-call-operator",
             "nested-parens"])

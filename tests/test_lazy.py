@@ -373,6 +373,17 @@ class TestLazyCall:
         for call in ("(f)", "(lazy-call 'f)", "(k)", "(lazy-call 'k)"):
             assert interp.run(call) == 100, call
 
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_closures_made_in_defaults_do_not_see_later_parameters(self, memoize):
+        # the closure runs after the later parameter X is bound, and still
+        # reads the global X, in a strict call as in a lazy one
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(defparameter x 1)"
+                   "(deflazy f (&optional (g (lambda () x)) x) (funcall g))"
+                   "(deflazy k (&key (g (lambda () x)) (x 2)) (funcall g))")
+        for call in ("(f)", "(lazy-call 'f)", "(k)", "(lazy-call 'k)"):
+            assert interp.run(call) == 1, call
+
     def test_rest_holds_raw_thunks(self, interp):
         interp.run("(deflazy grab (&rest r) r)")
         v = interp.run("(lazy-call #'grab (tick!) (tick!))")
