@@ -1,14 +1,17 @@
 """Primitive functions installed into every fresh global environment.
 
-Arithmetic is signed 64-bit: each operand's type and each partial
-result's range is checked where the loop reaches it. car/cdr of nil are
-nil; funcall is a strict call that Interpreter.apply resolves, so it
-cannot enter a lazy-only function. tick!/ticks expose the
-per-interpreter effect counter, and diverge is the testable stand-in
-for a non-terminating form.
+Arithmetic is signed 64-bit. Two integer operands with an in-range
+result take a direct path; any other call folds, checking each
+operand's type and each partial result's range where the fold reaches
+it. car/cdr of nil are nil; funcall is a strict call that
+Interpreter.apply resolves, so it cannot enter a lazy-only function.
+tick!/ticks expose the per-interpreter effect counter, and diverge is
+the testable stand-in for a non-terminating form.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .errors import DivergenceError, EvalError
 from .lazy import force
@@ -34,39 +37,27 @@ def _overflow(who: str) -> EvalError:
     return EvalError(f"{who}: result exceeds the 64-bit signed range", kind="overflow")
 
 
-def _bi_add(interp, args):
-    total = 0
-    for a in args:
-        if type(a) is not int:
-            raise _not_int("+", a)
-        total += a
-        if not INT_MIN <= total <= INT_MAX:
-            raise _overflow("+")
-    return total
-
-
-def _bi_sub(interp, args):
-    total, rest = (args[0], args[1:]) if len(args) > 1 else (0, args)  # (- x) is 0 - x
-    if type(total) is not int:
-        raise _not_int("-", total)
-    for a in rest:
-        if type(a) is not int:
-            raise _not_int("-", a)
-        total -= a
-        if not INT_MIN <= total <= INT_MAX:
-            raise _overflow("-")
-    return total
-
-
-def _bi_mul(interp, args):
-    total = 1
-    for a in args:
-        if type(a) is not int:
-            raise _not_int("*", a)
-        total *= a
-        if not INT_MIN <= total <= INT_MAX:
-            raise _overflow("*")
-    return total
+def _fold(name: str, op, unit):
+    """The checked fold of +, - or *. It starts from the first operand when
+    there are two or more, from ``unit`` otherwise, so (- x) is 0 - x."""
+    def _bi_fold(interp, args):
+        if len(args) == 2:  # two integers and an in-range result: no loop
+            a, b = args
+            if type(a) is int and type(b) is int:
+                total = op(a, b)
+                if INT_MIN <= total <= INT_MAX:
+                    return total
+        total, rest = (args[0], args[1:]) if len(args) > 1 else (unit, args)
+        if type(total) is not int:
+            raise _not_int(name, total)
+        for a in rest:
+            if type(a) is not int:
+                raise _not_int(name, a)
+            total = op(total, a)
+            if not INT_MIN <= total <= INT_MAX:
+                raise _overflow(name)
+        return total
+    return _bi_fold
 
 
 def _bi_add1(interp, args):
@@ -79,6 +70,8 @@ def _bi_add1(interp, args):
 
 
 def _bi_num_eq(interp, args):
+    if len(args) == 2 and type(args[0]) is int and type(args[1]) is int:
+        return T if args[0] == args[1] else NIL
     first = args[0]
     for a in args:
         if type(a) is not int:
@@ -89,6 +82,8 @@ def _bi_num_eq(interp, args):
 
 
 def _bi_num_lt(interp, args):
+    if len(args) == 2 and type(args[0]) is int and type(args[1]) is int:
+        return T if args[0] < args[1] else NIL
     prev = None
     for a in args:
         if type(a) is not int:
@@ -152,9 +147,9 @@ def _bi_print(interp, args):
 
 
 _TABLE = [
-    ("+", _bi_add, 0, None),
-    ("-", _bi_sub, 1, None),
-    ("*", _bi_mul, 0, None),
+    ("+", _fold("+", operator.add, 0), 0, None),
+    ("-", _fold("-", operator.sub, 0), 1, None),
+    ("*", _fold("*", operator.mul, 1), 0, None),
     ("1+", _bi_add1, 1, 1),
     ("=", _bi_num_eq, 1, None),
     ("<", _bi_num_lt, 1, None),

@@ -3,9 +3,10 @@
 An Interpreter owns a global environment, the effect/thunk counters, and
 the step and depth budgets. Laziness shows up here in two places: a symbol
 read forces a thunk found in a lazy frame's slot (one rule, which lookup and,
-in place, evaluate's call loop apply), and apply has a lazy mode whose binder
+in place, evaluate's call loop apply), and the binder has a lazy mode that
 builds that frame. evaluate's loop enters a strict function, or a builtin
-given an argument count in its arity, itself; apply decides every other call.
+given an argument count in its arity, itself, and lazy-call enters a lazy
+function; apply decides every other call.
 """
 
 from __future__ import annotations
@@ -227,12 +228,13 @@ class Interpreter:
 
     def apply(self, fn, args: list, lazy: bool = False):
         """Apply a function to its arguments: the one place that refuses a
-        call, or enters a function lazily or through funcall.
+        call, forces a lazy call's arguments for a builtin, or calls through
+        funcall.
 
         evaluate's loop enters a strict call of a strict function, or of a
-        builtin given an argument count in its arity, without coming here.
-        A strict call passes evaluated values; a lazy call (from
-        lazy-call) passes values and thunks: parameters bind lazily, and
+        builtin given an argument count in its arity, and lazy-call a lazy
+        function, without coming here. A strict call passes evaluated
+        values; a lazy call (from lazy-call) passes values and thunks, and
         a builtin gets its arguments forced. A function's body is not run
         here: the result is the tail (body, bound frame). funcall becomes a
         strict call of its first argument, where a symbol names a global
@@ -296,6 +298,8 @@ class Interpreter:
         for name in ll.required:
             frame[name] = args[i]
             i += 1
+        if n == nreq and ll.simple:  # required parameters only, all given
+            return frame
         for param in ll.optional:
             self._bind_param(frame, param, args[i] if i < n else _MISSING)
             i += 1

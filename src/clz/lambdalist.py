@@ -28,13 +28,14 @@ class Param(NamedTuple):
 
 
 class LambdaList:
-    __slots__ = ("required", "optional", "rest", "keys")
+    __slots__ = ("required", "optional", "rest", "keys", "simple")
 
     def __init__(self, required, optional, rest, keys):
         self.required: list[Symbol] = required
         self.optional: list[Param] = optional
         self.rest: Optional[Symbol] = rest
         self.keys: Optional[list[Param]] = keys  # None when &key is not written
+        self.simple = not optional and rest is None and keys is None  # required only
 
 
 def _bad(msg: str, form: Form) -> EvalError:

@@ -93,7 +93,8 @@ def eval_lazy_call(interp, form: Form, env):
     current global binding, looked up as funcall does. Constant argument
     forms (and keyword markers, which are constants) pass through as
     values; everything else becomes a thunk over the unevaluated form.
-    Whether the operator may be entered lazily is apply's to decide.
+    A function with the lazy flag is bound here, and its body is the tail;
+    apply forces a builtin's arguments and refuses every other operator.
     """
     items = form.datum
     op = interp.evaluate(items[1], env)
@@ -109,6 +110,8 @@ def eval_lazy_call(interp, form: Form, env):
             args.append(interp.evaluate(arg_form, env))
         else:
             args.append(delay(interp, arg_form, env))
+    if type(op) is FunctionObject and op.lazy:
+        return op.body, interp.bind_lambda_list(op, args, True)
     return interp.apply(op, args, lazy=True)
 
 

@@ -97,7 +97,8 @@ class FunctionObject(_Value):
     ``strict`` says a strict call (call position, funcall) may enter it,
     ``lazy`` that lazy-call may. defun and lambda make strict-only
     functions, deflazy one that is both, and (lazy X) a lazy-only copy.
-    Interpreter.evaluate's call loop and Interpreter.apply read them.
+    Interpreter.evaluate's call loop, eval_lazy_call and
+    Interpreter.apply read them.
     """
 
     __slots__ = ("name", "lambda_list", "body", "closure", "strict", "lazy")

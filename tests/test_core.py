@@ -471,6 +471,45 @@ class TestLambdaListBinding:
             interp.run("(defun bad4 (&rest) 1)")
         assert exc.value.kind == "malformed-lambda-list"
 
+    @pytest.mark.parametrize("args, message", [
+        ("", "F expected at least 2 argument(s), got 0"),
+        (" 1", "F expected at least 2 argument(s), got 1"),
+        (" 1 2 3", "F expected at most 2 argument(s), got 3"),
+    ])
+    def test_required_only_arity_errors_agree_across_modes(self, args, message):
+        seen = set()
+        for memoize, call in [(False, "(f"), (False, "(lazy-call 'f"), (True, "(lazy-call 'f")]:
+            interp = Interpreter(memoize=memoize, prelude=False)
+            interp.run("(deflazy f (a b) (list a b))")
+            with pytest.raises(EvalError) as exc:
+                interp.run(f"(progn\n  {call}{args}))")
+            seen.add((exc.value.kind, exc.value.message, exc.value.where()))
+        assert seen == {("arity-mismatch", message, "2:3")}
+
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_required_only_lazy_call_leaves_an_unread_parameter_alone(self, memoize):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(deflazy f (a b) a) (deflazy g (a b) (+ b b))")
+        assert interp.run("(lazy-call 'f (+ 1 2) (diverge))") == 3
+        assert interp.run("(lazy-call 'g (diverge) (+ 1 2))") == 6
+
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_other_lambda_lists_still_bind_flags_and_rest_lists(self, memoize):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(deflazy o (a &optional (b 5 bp)) (list a b bp))"
+                   "(deflazy r (a &rest more) (list a more))"
+                   "(deflazy k (a &key (b 7 bp)) (list a b bp))")
+        for call, expected in [
+            ("o 1", [1, 5, []]),
+            ("o 1 2", [1, 2, True]),
+            ("r 1", [1, []]),
+            ("r 1 2 3", [1, [2, 3]]),
+            ("k 1", [1, 7, []]),
+            ("k 1 :b 2", [1, 2, True]),
+        ]:
+            for source in (f"({call})", f"(lazy-call '{call})"):
+                assert to_py(interp.run(source)) == expected, source
+
     @pytest.mark.parametrize("source, message, where", _BAD_LAMBDA_LISTS)
     def test_malformed_lambda_list_message_and_position(self, interp, source, message, where):
         with pytest.raises(EvalError) as exc:

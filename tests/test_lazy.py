@@ -316,21 +316,27 @@ class TestLazyCall:
         interp.run("(deflazy k (x y) x)")
         assert interp.run("(lazy-call (if t #'k #'k) 5 (diverge))") == 5
 
-    def test_no_lazy_version_for_plain_strict_function(self, interp):
-        interp.run("(defun plain (x) x)")
+    @pytest.mark.parametrize("op, kind, message, thunks", [
+        ("#'plain", "no-lazy-version", "PLAIN is strict and has no lazy version", 3),
+        ("(lambda (a b) a)", "no-lazy-version",
+         "anonymous function is strict and has no lazy version", 3),
+        ("'+", "no-lazy-version", "+ is strict and has no lazy version", 3),
+        ("5", "not-a-function", "5 is not a function", 3),
+        # an unbound operator symbol is refused before any argument is thunked
+        ("'nope", "no-lazy-version", "NOPE has no lazy version (define it with deflazy)", 0),
+    ], ids=["defun", "lambda", "builtin", "non-function", "unbound-symbol"])
+    def test_refusals_name_the_operator_at_the_call(self, interp, op, kind, message, thunks):
+        interp.run("(defun plain (a b) a)")
+        before = interp.thunk_allocations
         with pytest.raises(EvalError) as exc:
-            interp.run("(lazy-call #'plain 1)")
-        assert exc.value.kind == "no-lazy-version"
+            interp.run(f"(progn\n  (lazy-call {op} 1 (+ 1 1) x (diverge)))")
+        assert (exc.value.kind, exc.value.message, exc.value.where()) == (kind, message, "2:3")
+        assert interp.thunk_allocations == before + thunks
 
-    def test_no_lazy_version_for_builtin_operator(self, interp):
-        with pytest.raises(EvalError) as exc:
-            interp.run("(lazy-call '+ 1 2)")
-        assert exc.value.kind == "no-lazy-version"
-
-    def test_lazy_call_on_non_function(self, interp):
-        with pytest.raises(EvalError) as exc:
-            interp.run("(lazy-call 3 1)")
-        assert exc.value.kind == "not-a-function"
+    def test_lazy_builtin_gets_forced_arguments(self, interp):
+        before = interp.thunk_allocations
+        assert interp.run("(lazy-call (lazy #'-) 5 (+ 1 1))") == 3
+        assert interp.thunk_allocations == before + 1
 
     def test_keyword_markers_pass_through(self, interp):
         interp.run("(deflazy f (x &key ((:y yy) (diverge))) (if x (+ x 21) yy))")

@@ -1,6 +1,10 @@
 """Primitives, instrumentation counters, and the lazy stream library."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clz import (
     NIL,
@@ -15,6 +19,26 @@ from tests.conftest import to_py
 
 INT_MAX = 2 ** 63 - 1
 INT_MIN = -(2 ** 63)
+
+# Operand sources for the two-operand property: the 64-bit edges, and each
+# non-integer with the text a type error prints for it.
+_EDGES = [INT_MIN, INT_MIN + 1, -1, 0, 1, INT_MAX - 1, INT_MAX]
+_NOT_INTS = {'"x"': '"x"', "nil": "NIL", "'(1)": "(1)"}
+_TWO_OPERAND_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "<": operator.lt, "=": operator.eq}
+
+
+def _two_operand_reference(op, a, b):
+    """What (OP A B) gives: its value, or an error's (kind, message)."""
+    for x in (a, b):
+        if type(x) is not int:
+            return "type-error", f"{op} expects integers, got {_NOT_INTS[x]}"
+    value = _TWO_OPERAND_OPS[op](a, b)
+    if type(value) is bool:
+        return T if value else NIL
+    if not INT_MIN <= value <= INT_MAX:
+        return "overflow", f"{op}: result exceeds the 64-bit signed range"
+    return value
 
 
 class TestArithmetic:
@@ -106,6 +130,19 @@ class TestArithmetic:
     def test_comparisons_stop_before_later_operands(self, interp):
         assert interp.run('(= 1 2 "x")') is NIL
         assert interp.run('(< 2 1 "x")') is NIL
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.sampled_from(sorted(_TWO_OPERAND_OPS)),
+           *[st.sampled_from(_EDGES + sorted(_NOT_INTS)) | st.integers(INT_MIN, INT_MAX)] * 2)
+    def test_two_operands_match_a_python_reference(self, op, a, b):
+        interp = Interpreter(prelude=False)
+        expected = _two_operand_reference(op, a, b)
+        try:
+            got = interp.run(f"(progn\n  ({op} {a} {b}))")
+        except EvalError as err:
+            assert err.where() == "2:3"
+            got = err.kind, err.message
+        assert got == expected
 
 
 class TestListsAndPredicates:
