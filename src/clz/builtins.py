@@ -3,8 +3,8 @@
 Arithmetic is signed 64-bit. Two integer operands with an in-range
 result take a direct path; any other call folds, checking each
 operand's type and each partial result's range where the fold reaches
-it. car/cdr of nil are nil; funcall is a strict call that
-Interpreter.apply resolves, so it cannot enter a lazy-only function.
+it. car/cdr of nil are nil; funcall is a strict call that evaluate's
+loop or Interpreter.apply resolves, so it cannot enter a lazy-only function.
 tick!/ticks expose the per-interpreter effect counter, and diverge is
 the testable stand-in for a non-terminating form.
 """
@@ -157,7 +157,7 @@ _TABLE = [
     ("car", _bi_car, 1, 1),
     ("cdr", _bi_cdr, 1, 1),
     ("list", _bi_list, 0, None),
-    ("funcall", None, 1, None),  # Interpreter.apply calls its first argument
+    ("funcall", None, 1, None),  # evaluate or apply calls its first argument
     ("not", _bi_not, 1, 1),
     ("null", _bi_not, 1, 1),
     ("force", _bi_force, 1, 1),

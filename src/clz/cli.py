@@ -1,4 +1,4 @@
-"""Command line: REPL by default, or run a file, or evaluate one string.
+"""Command line: REPL by default, or run a file, or evaluate strings.
 
 Evaluation runs on the main thread, so Ctrl-C reaches it: the REPL drops
 the running or the unclosed form and keeps the session; a file or --eval
@@ -26,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("file", nargs="?",
                         help="script to run; omit (and no --eval) for a REPL")
-    parser.add_argument("--eval", metavar="FORM", dest="eval_text",
-                        help="evaluate the given form(s) and print each value")
+    parser.add_argument("--eval", metavar="FORM", dest="eval_texts", action="append",
+                        help="evaluate the given form(s), print each value; repeatable")
     parser.add_argument("--memoize", action="store_true",
                         help="memoize thunks: call-by-need instead of call-by-name")
     parser.add_argument("--step-limit", type=int, default=10_000_000,
@@ -92,7 +92,7 @@ def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.file is not None and args.eval_text is not None:
+    if args.file is not None and args.eval_texts is not None:
         parser.error("give a FILE or --eval, not both")
     try:
         interp = Interpreter(memoize=args.memoize, step_limit=args.step_limit,
@@ -100,19 +100,22 @@ def main(argv=None) -> int:
     except ValueError as err:   # "step_limit must be positive": name the option
         name, _, reason = str(err).partition(" ")
         parser.error(f"argument --{name.replace('_', '-')}: {reason}")
-    text, origin = args.eval_text, "<eval>"
+    texts, origin = args.eval_texts, "<eval>"
     if args.file is not None:
         try:
             with open(args.file, "r", encoding="utf-8-sig") as fh:
-                text = fh.read()
+                texts = [fh.read()]
         except (OSError, UnicodeDecodeError) as err:
             reason = err.strerror if isinstance(err, OSError) else err
             print(f"clz: cannot read {args.file}: {reason}", file=sys.stderr)
             return 2
         origin = args.file
     try:
-        code = (_repl(interp) if text is None
-                else _run_text(interp, text, origin, echo=args.file is None))
+        code = _repl(interp) if texts is None else 0
+        for text in texts or ():  # each in order, up to the first that fails
+            code = _run_text(interp, text, origin, echo=args.file is None)
+            if code:
+                break
         sys.stdout.flush()
     except BrokenPipeError:   # stdout's reader left; what is still buffered goes nowhere
         with open(os.devnull, "w") as devnull:

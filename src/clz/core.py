@@ -2,11 +2,12 @@
 
 An Interpreter owns a global environment, the effect/thunk counters, and
 the step and depth budgets. Laziness shows up here in two places: a symbol
-read forces a thunk found in a lazy frame's slot (one rule, which lookup and,
-in place, evaluate's call loop apply), and the binder has a lazy mode that
-builds that frame. evaluate's loop enters a strict function, or a builtin
-given an argument count in its arity, itself, and lazy-call enters a lazy
-function; apply decides every other call.
+read forces a thunk found in a lazy frame's slot (one rule, which lookup,
+and evaluate's loop in place for a bare symbol or an operand, apply), and
+the binder has a lazy mode that builds that frame. evaluate's loop enters
+a strict function, a builtin given an argument count in its arity, and a
+funcall of a strict function itself, and reads a quoted operand's cached
+value; lazy-call enters a lazy function; apply decides every other call.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ from .values import (
 
 # The host stack: each host recursion passes through a list form that the
 # depth guard counts; force follows thunks over variables in its own loop.
-# Measured on Python 3.11, the most host frames per unit of depth is 4, in
-# a strict &optional or &key default that recurs through funcall: evaluate,
-# apply, bind_lambda_list, _bind_param (3 when it calls the function itself).
-# A Python-to-Python call takes no C stack, so any thread may take the
-# ceiling; sys.setrecursionlimit takes at most 2**31 - 1.
-_FRAMES_PER_DEPTH, _MAX_CEILING = 4, 2**31 - 1
+# Measured on Python 3.11, the most host frames per unit of depth is 5, in
+# forms nested inside lazy-call: a lazy builtin's argument (evaluate,
+# eval_lazy_call, apply, its list comprehension, force), a keyword marker
+# (..., bind_lambda_list, _keyword_pairs, force) and a lazy funcall's strict
+# default (..., apply, bind_lambda_list, _bind_param). A Python-to-Python
+# call takes no C stack, so any thread may take the ceiling;
+# sys.setrecursionlimit takes at most 2**31 - 1.
+_FRAMES_PER_DEPTH, _MAX_CEILING = 5, 2**31 - 1
 _MISSING = object()
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
 
@@ -47,17 +50,13 @@ _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a 
 class Environment(dict):
     """A lexical frame: a dict from symbols to values, chained to its parent.
 
-    The frame of a lazy call is ``lazy``: its slots may hold raw thunks,
-    and a read of a slot that holds one forces it. Its other slots read
-    as they are. Compare frames only with ``is``: an empty frame is
-    falsy, and a frame cannot be hashed.
+    A lazy call's frame is ``lazy``: a read of a slot that holds a raw
+    thunk forces it, and other slots read as they are. Compare frames
+    with ``is`` only (an empty one is falsy; none hashes). There is no
+    ``__init__``: make one with ``Environment()``, then set both slots.
     """
 
     __slots__ = ("parent", "lazy")
-
-    def __init__(self, parent: "Environment | None" = None, lazy: bool = False):
-        self.parent = parent
-        self.lazy = lazy
 
 
 class Interpreter:
@@ -65,7 +64,7 @@ class Interpreter:
 
     Instances are independent and single-threaded; never share one across
     threads. Construction changes no process state; while a top-level form
-    runs, the process-wide host recursion limit is raised by 4 frames per
+    runs, the process-wide host recursion limit is raised by 5 frames per
     unit of ``recursion_limit``, so no two interpreters may evaluate on two
     threads at once.
     ``memoize`` selects call-by-need thunks instead of the default
@@ -85,6 +84,7 @@ class Interpreter:
         self.step_limit = step_limit
         self.recursion_limit = recursion_limit
         self.global_env = Environment()
+        self.global_env.parent, self.global_env.lazy = None, False
         self.tick_count = 0
         self.thunk_allocations = 0
         self._steps = 0
@@ -121,12 +121,13 @@ class Interpreter:
     # ---------------------------------------------------------- evaluator
 
     def evaluate(self, form: Form, env: Environment):
-        """The value of ``form`` in ``env``. ``if`` and a call's bound operand
-        symbols run in this loop, with no handler or lookup call, and so does a
-        strict call of a strict function or of a builtin within its arity; apply
-        takes every other call. A tail, the chosen if branch or a body's last
-        form, goes round the loop instead of nesting, with the steps, depth and
-        error position that nesting would give."""
+        """The value of ``form`` in ``env``. ``if``, a symbol read (a lazy slot's
+        memo cell, or its by-name form with one nested evaluate), a quoted
+        operand, and a strict call of a strict function, of a builtin within its
+        arity or of a strict function through funcall run in this loop, with no
+        handler, lookup or force call; apply takes every other call. A tail,
+        the chosen if branch or a body's last form, goes round the loop instead
+        of nesting, with the steps, depth and error position nesting would give."""
         depth = self._depth
         call = None  # the innermost list form entered: it positions errors
         try:
@@ -136,7 +137,21 @@ class Interpreter:
                     raise self._out_of_steps(form)
                 datum = form.datum
                 if type(datum) is not list:  # a symbol, or a constant
-                    return self.lookup(datum, env, form) if type(datum) is Symbol else datum
+                    if type(datum) is not Symbol:
+                        return datum
+                    frame = env  # lookup's rule, read in place
+                    while (value := frame.get(datum, _MISSING)) is _MISSING:
+                        frame = frame.parent
+                        if frame is None:
+                            self.lookup(datum, env, form)  # unbound: raises
+                    if frame.lazy and type(value) is Thunk:  # force's rule, read in place
+                        if value.expr is None:  # a memo cell
+                            value = value.value
+                        elif self.memoize or type(value.expr.datum) is Symbol:
+                            value = force(self, value)
+                        elif type(value := self.evaluate(value.expr, value.env)) is Thunk:
+                            value = force(self, value)  # by name: its form, forced through
+                    return value
                 call = form
                 self._depth += 1
                 if self._depth > self.recursion_limit:
@@ -154,23 +169,31 @@ class Interpreter:
                     for item in datum:
                         d = item.datum
                         if type(d) is list:
-                            args.append(self.evaluate(item, env))
+                            if (item.cache is not _sf_quote or d[1].cache is None
+                                    or self._steps >= self.step_limit
+                                    or self._depth >= self.recursion_limit):
+                                args.append(self.evaluate(item, env))
+                            else:  # a quote, whose nested evaluate's checks would pass
+                                self._steps += 1
+                                args.append(d[1].cache)
                             continue
                         self._steps += 1
                         if self._steps > self.step_limit:
                             raise self._out_of_steps(item)
-                        if type(d) is Symbol:  # lookup's rule, read in place
-                            frame = env
-                            while frame is not None:
-                                slot = frame.get(d, _MISSING)
-                                if slot is not _MISSING:
-                                    d = slot
-                                    if frame.lazy and type(d) is Thunk:
-                                        d = force(self, d)
-                                    break
+                        if type(d) is Symbol:
+                            frame = env  # as at the loop's top
+                            while (slot := frame.get(d, _MISSING)) is _MISSING:
                                 frame = frame.parent
-                            else:
-                                self.lookup(d, env, item)  # unbound: raises
+                                if frame is None:
+                                    self.lookup(d, env, item)  # unbound: raises
+                            d = slot
+                            if frame.lazy and type(d) is Thunk:
+                                if d.expr is None:
+                                    d = d.value
+                                elif self.memoize or type(d.expr.datum) is Symbol:
+                                    d = force(self, d)
+                                elif type(d := self.evaluate(d.expr, d.env)) is Thunk:
+                                    d = force(self, d)
                         args.append(d)
                     fn = args.pop(0)
                     if type(fn) is FunctionObject and fn.strict:
@@ -179,6 +202,10 @@ class Interpreter:
                           and fn.min_args <= len(args)
                           and (fn.max_args is None or len(args) <= fn.max_args)):
                         result = fn.fn(self, args)
+                    elif (type(fn) is BuiltinFunction and fn.fn is None and fn.strict and args
+                          and type(args[0]) is FunctionObject and args[0].strict):
+                        fn = args.pop(0)  # funcall of a strict function, entered here too
+                        result = fn.body, self.bind_lambda_list(fn, args, False)
                     else:
                         result = self.apply(fn, args)
                 elif handler is _IF:  # the chosen branch is a tail
@@ -231,9 +258,10 @@ class Interpreter:
         call, forces a lazy call's arguments for a builtin, or calls through
         funcall.
 
-        evaluate's loop enters a strict call of a strict function, or of a
-        builtin given an argument count in its arity, and lazy-call a lazy
-        function, without coming here. A strict call passes evaluated
+        evaluate's loop enters a strict call of a strict function, of a
+        builtin given an argument count in its arity, or of a strict function
+        through funcall, and lazy-call a lazy function, without coming here.
+        A strict call passes evaluated
         values; a lazy call (from lazy-call) passes values and thunks, and
         a builtin gets its arguments forced. A function's body is not run
         here: the result is the tail (body, bound frame). funcall becomes a
@@ -288,7 +316,8 @@ class Interpreter:
         their values not.
         """
         ll = fn.lambda_list
-        frame = Environment(fn.closure, lazy)
+        frame = Environment()
+        frame.parent, frame.lazy = fn.closure, lazy
         n = len(args)
         nreq = len(ll.required)
         if n < nreq:
@@ -349,8 +378,8 @@ class Interpreter:
                 value = NIL
             else:
                 # the default sees the parameters bound so far, not later ones
-                seen = Environment(frame.parent, frame.lazy)
-                seen.update(frame)
+                seen = Environment(frame)
+                seen.parent, seen.lazy = frame.parent, frame.lazy
                 if frame.lazy:
                     value = delay(self, param.default, seen)
                 else:
@@ -387,7 +416,8 @@ def _sf_let(interp, form, env):
         bindings = ()
     elif not isinstance(bindings, list):
         raise _malformed("let bindings must be a list", items[1])
-    frame = Environment(env)
+    frame = Environment()
+    frame.parent, frame.lazy = env, False
     # parallel let: initializers see the outer environment only
     for binding in bindings:
         d = binding.datum
@@ -454,7 +484,14 @@ def _defined_name(form: Form) -> Symbol:
 
 def _sf_ecase(interp, form, env):
     items = form.datum
-    key = interp.evaluate(items[1], env)
+    key_form = items[1]
+    key = key_form.datum
+    if type(key) is list or interp._steps >= interp.step_limit:
+        key = interp.evaluate(key_form, env)  # a list, or the step-limit error
+    else:  # an atom: the step evaluate would take, and a symbol's lookup
+        interp._steps += 1
+        if type(key) is Symbol:
+            key = interp.lookup(key, env, key_form)
     for clause in items[2:]:
         d = clause.datum
         if not isinstance(d, list) or not d:

@@ -1,10 +1,11 @@
 """Lazy calling convention: thunks, lazy-call, lazy, delay.
 
 A function defined with ``deflazy`` is one function object that both
-kinds of call may enter, as its two flags say: ordinary calls
-run it strictly, and ``lazy-call`` enters it lazily, passing constants
-through and wrapping every other argument form as a thunk that the body
-forces only when it actually reads the parameter.
+kinds of call may enter, as its two flags say: ordinary calls run it
+strictly, and ``lazy-call`` enters it lazily, passing constants through
+and wrapping every other argument form as a thunk that the body forces
+only when it reads the parameter. evaluate's loop reads a memo cell, or
+runs a by-name thunk's form, in place; force takes every other thunk.
 """
 
 from __future__ import annotations
@@ -73,31 +74,27 @@ def force(interp, value):
     return value
 
 
-def constant_p(form: Form) -> bool:
-    """Self-evaluating atoms and (quote _) forms pass through unthunked.
-
-    Integers, strings, keywords, t, and nil are constants; symbols and
-    every unquoted compound form are not. (t and nil parse directly to
-    their singleton values, so the Symbol test covers them.)
-    """
-    datum = form.datum
-    if isinstance(datum, list):
-        return len(datum) == 2 and datum[0].datum is _QUOTE
-    return not isinstance(datum, Symbol)
-
-
 def eval_lazy_call(interp, form: Form, env):
     """(lazy-call OP ARGS...) -> apply OP lazily to thunked args.
 
-    The operator expression is evaluated strictly; a symbol means its
-    current global binding, looked up as funcall does. Constant argument
-    forms (and keyword markers, which are constants) pass through as
-    values; everything else becomes a thunk over the unevaluated form.
+    The operator is evaluated strictly, a quote read in place as evaluate's
+    loop reads one; a symbol means its current global binding, looked up as
+    funcall does. A constant argument form (a self-evaluating atom, such as a
+    keyword marker, or a quote) passes through as its value; a symbol or any
+    other list form becomes a thunk over the unevaluated form.
     A function with the lazy flag is bound here, and its body is the tail;
     apply forces a builtin's arguments and refuses every other operator.
     """
     items = form.datum
-    op = interp.evaluate(items[1], env)
+    op_form = items[1]
+    d = op_form.datum
+    if (type(d) is list and d[0].datum is _QUOTE and op_form.cache is not None
+            and d[1].cache is not None and interp._steps < interp.step_limit
+            and interp._depth < interp.recursion_limit):
+        interp._steps += 1  # a quote, whose nested evaluate's checks would pass
+        op = d[1].cache
+    else:
+        op = interp.evaluate(op_form, env)
     if type(op) is Symbol:
         try:
             op = interp.lookup(op, interp.global_env)
@@ -106,10 +103,12 @@ def eval_lazy_call(interp, form: Form, env):
                             kind="no-lazy-version") from None
     args = []
     for arg_form in items[2:]:
-        if constant_p(arg_form):
-            args.append(interp.evaluate(arg_form, env))
+        d = arg_form.datum
+        if type(d) is Symbol or type(d) is list and (len(d) != 2 or d[0].datum is not _QUOTE):
+            interp.thunk_allocations += 1
+            args.append(Thunk(arg_form, env))
         else:
-            args.append(delay(interp, arg_form, env))
+            args.append(interp.evaluate(arg_form, env))
     if type(op) is FunctionObject and op.lazy:
         return op.body, interp.bind_lambda_list(op, args, True)
     return interp.apply(op, args, lazy=True)

@@ -114,7 +114,7 @@ class FunctionObject(_Value):
 
 class BuiltinFunction(_Value):
     """Native primitive: ``fn`` takes (interpreter, args), or is None for
-    funcall, which Interpreter.apply resolves. Built strict-only."""
+    funcall, which evaluate's loop or apply resolves. Built strict-only."""
 
     __slots__ = ("name", "fn", "min_args", "max_args", "strict", "lazy")
 

@@ -227,6 +227,31 @@ class TestEvalFlag:
         proc = run_clz(path, "--eval", "1")
         assert proc.returncode == 2
 
+    def test_repeated_eval_runs_each_text_in_order(self):
+        proc = run_clz("--eval", "(print 1)", "--eval", "(defun f () 2)", "--eval", "(f)")
+        assert proc.returncode == 0
+        assert proc.stdout == "1\n1\nF\n2\n"
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("second, code, diagnostic", [
+        ("(car 1)", 1, "<eval>:1:1: type-error: car expects a cons or nil, got 1\n"),
+        ("(+ 1", 1, "<eval>:1:1: read-error: unclosed parenthesis\n"),
+        ("(loop)", 3, "<eval>:1:1: step-limit: step limit of 100 exceeded\n"),
+    ], ids=["evaluation-error", "read-error", "step-limit"])
+    def test_repeated_eval_stops_at_the_first_failure(self, second, code, diagnostic):
+        # each text is read whole before it runs, and positions count from its start
+        proc = run_clz("--step-limit", "100", "--eval", "(print 1)", "--eval", second,
+                       "--eval", "(print 3)")
+        assert proc.returncode == code
+        assert proc.stdout == "1\n1\n"
+        assert proc.stderr == diagnostic
+
+    def test_file_and_repeated_eval_conflict(self, tmp_path):
+        path = script(tmp_path, "1\n")
+        proc = run_clz("--eval", "1", path, "--eval", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_a_long_value_in_a_diagnostic_is_cut_short(self):
         proc = run_clz("--eval", "(+ 1 (stream-take (integers-from 0) 2000))")
         assert proc.returncode == 1

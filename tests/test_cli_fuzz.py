@@ -1,7 +1,7 @@
 """The command line ends every run with an exit code, never a traceback.
 
 Generated inputs run in-process through ``cli.main`` three ways: as a file,
-as --eval and as REPL input. They mix long digit runs, deep nesting, NUL,
+as --eval (also repeated) and as REPL input. They mix long digit runs, deep nesting, NUL,
 vertical tab, unclosed forms, strings across lines and, in a file, bytes
 that are not UTF-8.
 """
@@ -50,3 +50,26 @@ class TestCliFuzz:
                 fh.write(text.encode() + tail)
             code = run_main([path])
         assert (code == 2) == bool(tail)  # only bytes that are not UTF-8 fail to read
+
+
+def run_main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(_LIMITS + argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRepeatedEvalFuzz:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_PIECES, max_size=6).map("".join), min_size=1, max_size=3))
+    def test_texts_run_in_order_up_to_the_first_failure(self, texts):
+        argv = [arg for text in texts for arg in ("--eval", text)]
+        code, out, err = run_main_captured(argv)
+        first_code, first_out, first_err = run_main_captured(argv[:2])
+        if first_code:  # the first text failed, so no later text ran
+            assert (code, out, err) == (first_code, first_out, first_err)
+        else:  # the first text's output comes first, whatever follows
+            assert out.startswith(first_out)

@@ -624,6 +624,25 @@ class TestBudgets:
             interp.run(program)
         assert exc.value.message == "recursion depth exceeded the limit of 5000"
 
+    # The shapes that nest the most host frames per unit of depth, 5 on Python
+    # 3.11: forms nested inside lazy-call, as a lazy builtin's argument, as a
+    # keyword marker, and under a lazy funcall's strict default. A lazy slot
+    # that a strict default reads by name nests 4: evaluate runs its form itself.
+    @pytest.mark.parametrize("setup, program", [
+        ("", "(lazy-call (lazy #'+) 1 " * 6000 + "1" + ")" * 6000),
+        ("(deflazy k (&key a) a)", "(lazy-call 'k " * 6000 + ":a" + " 1)" * 6000),
+        ("(defun d (&optional (x (lazy-call (lazy #'funcall) #'d))) x)", "(d)"),
+        ("(deflazy outer (x) (progn (defun inner (&optional (y x)) y) (inner)))",
+         "(lazy-call 'outer (inner))"),
+    ], ids=["lazy-builtin-argument", "keyword-marker", "lazy-funcall-default",
+            "lazy-slot-as-default"])
+    def test_the_deepest_host_shapes_meet_the_depth_guard(self, setup, program):
+        interp = Interpreter(recursion_limit=5000, prelude=False)
+        interp.run(setup)
+        with pytest.raises(EvalError) as exc:
+            interp.run(program)
+        assert exc.value.message == "recursion depth exceeded the limit of 5000"
+
     def test_deep_forcing_on_a_thread_with_a_small_stack(self):
         # a Python-to-Python call takes no C stack, so any thread gets the
         # ceiling its recursion limit sets, whatever the thread's stack size
@@ -819,6 +838,118 @@ class TestStepAccounting:
             assert f"{exc.value.line}:{exc.value.col}" == stop, limit
         interp.step_limit = total
         assert print_value(interp.run(_WALK_FORM)) == "(1 10 144 (10 81 10) (:K . 10))"
+
+
+# A body that reads a quote, an atom ecase key (a symbol, then a constant) and
+# a quoted lazy-call operator in evaluate's loop, with no nested evaluate. A
+# body's forms are kept, so from the second call on each quote is read from
+# its cache.
+_IN_PLACE_SETUP = ("(defparameter k 'a) (deflazy h (x) x)\n"
+                   "(defun walk ()\n  (list 'a\n    (ecase k (a 1))\n"
+                   "    (ecase nil (nil 2))\n    (lazy-call 'h 3)))")
+# Where the step after the first k runs out, as nested evaluation puts it.
+_IN_PLACE_STOPS = "1:2 3:3 3:4 3:9 4:5 4:12 4:17 5:5 5:12 5:21 6:5 6:16 6:19 1:36".split()
+
+
+def _outcome(interp, source):
+    """The printed value, or the error's kind, message and line:col; then the
+    steps taken and the thunks made."""
+    before = interp.thunk_allocations
+    try:
+        value = print_value(interp.run(source))
+    except LispError as err:
+        value = (err.kind, err.message, err.where())
+    return value, interp._steps, interp.thunk_allocations - before
+
+
+class TestReadsInTheLoop:
+    """A lazy slot, a quote, an atom ecase key and a funcall are read or entered
+    in evaluate's loop, with the value, steps, thunks and errors (kind, message,
+    line:col) that nested evaluation gives."""
+
+    @pytest.mark.parametrize("memoize", [False, True], ids=["by-name", "by-need"])
+    @pytest.mark.parametrize("body, printed, steps, thunks", [
+        ("(+ x 0)", "1", 8, 2),
+        ("x", "1", 5, 2),
+        ("(if t x 0)", "1", 7, 2),
+    ], ids=["operand", "tail", "if-branch"])
+    def test_a_slot_whose_form_gives_a_thunk_is_forced_through(self, memoize, body, printed,
+                                                                steps, thunks):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run(f"(deflazy f (x) {body})")
+        assert _outcome(interp, "(lazy-call 'f (delay 1))") == (printed, steps, thunks)
+
+    @pytest.mark.parametrize("memoize, steps, thunks", [(False, 10, 3), (True, 8, 2)],
+                             ids=["by-name", "by-need"])
+    def test_a_slot_read_twice_runs_its_form_twice_only_by_name(self, memoize, steps, thunks):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(deflazy f (x) (list x x))")
+        assert _outcome(interp, "(lazy-call 'f (delay 1))") == ("(1 1)", steps, thunks)
+
+    def test_step_limit_on_a_quote_an_ecase_key_and_a_quoted_operator(self):
+        interp = Interpreter(prelude=False)
+        interp.run(_IN_PLACE_SETUP)
+        assert print_value(interp.run("(walk)")) == "(A 1 2 3)"
+        assert interp._steps == len(_IN_PLACE_STOPS) + 1
+        for limit, stop in enumerate(_IN_PLACE_STOPS, start=1):
+            interp.step_limit = limit
+            with pytest.raises(StepLimitExceeded) as exc:
+                interp.run("(walk)")
+            assert exc.value.where() == stop, limit
+        interp.step_limit = len(_IN_PLACE_STOPS) + 1
+        assert print_value(interp.run("(walk)")) == "(A 1 2 3)"
+
+    # Each body is run once under a roomy limit first, so its quote is cached.
+    @pytest.mark.parametrize("call, limit, expected", [
+        ("(q)", 1, ("recursion-limit", "recursion depth exceeded the limit of 1", "2:13")),
+        ("(q)", 2, ("recursion-limit", "recursion depth exceeded the limit of 2", "2:19")),
+        ("(q)", 3, "(A)"),
+        ("(o)", 2, ("recursion-limit", "recursion depth exceeded the limit of 2", "3:24")),
+        ("(o)", 3, "3"),
+        ("(e)", 2, ("recursion-limit", "recursion depth exceeded the limit of 2", "4:20")),
+        ("(e)", 3, "1"),
+    ], ids=["body-over", "quote-over", "quote-within", "operator-over", "operator-within",
+            "ecase-key-over", "ecase-key-within"])
+    def test_depth_limit_at_a_quote(self, call, limit, expected):
+        interp = Interpreter(prelude=False)
+        interp.run("(deflazy h (x) x)\n(defun q () (list 'a))\n"
+                   "(defun o () (lazy-call 'h 3))\n(defun e () (ecase 'a (a 1)))")
+        interp.run(call)
+        interp.recursion_limit = limit
+        assert _outcome(interp, call)[0] == expected
+
+    @pytest.mark.parametrize("source, expected", [
+        ("(funcall 'nope)", ("unbound-symbol", "unbound symbol NOPE", "2:3")),
+        ("(funcall (lazy #'f))", ("lazy-through-strict", "#<function F> has the lazy "
+                                  "calling convention; call it with lazy-call", "2:3")),
+        ("(funcall)", ("arity-mismatch", "FUNCALL takes at least 1 argument(s), got 0", "2:3")),
+        ("(funcall #'f 1 2)", ("arity-mismatch", "F expected at most 1 argument(s), got 2",
+                               "2:3")),
+        ("(funcall 'f 1)", "1"),
+        ("(funcall #'funcall #'f 1)", "1"),
+        ("(funcall #'f (delay 1))", "#<thunk>"),  # a strict frame: its slot is not forced
+    ], ids=["unbound", "lazy-only", "no-function", "too-many", "symbol", "funcall-funcall",
+            "strict-frame"])
+    def test_funcall_outcomes(self, source, expected):
+        interp = Interpreter(prelude=False)
+        interp.run("(defun f (x) x)")
+        assert _outcome(interp, "\n  " + source)[0] == expected
+
+    @pytest.mark.parametrize("memoize, last", [
+        (False, ("type-error", "car expects a cons or nil, got 8", "1:87")),
+        (True, "7"),
+    ], ids=["by-name", "by-need"])
+    def test_a_thunk_that_fails_at_a_loop_top_read_is_unevaluated_again(self, memoize, last):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(defparameter v 1) (deflazy keep (x) (lambda () x))"
+                   " (defparameter th (lazy-call 'keep (car v)))")
+        # the closure's body is the bare symbol x, read at the loop's top
+        assert _outcome(interp, "\n  (funcall th)") == (
+            ("type-error", "car expects a cons or nil, got 1", "1:87"), 7, 0)
+        interp.run("(defparameter v '(7))")
+        assert _outcome(interp, "(funcall th)") == ("7", 7, 0)
+        # by need the value is now its memo cell; by name the form runs again
+        assert _outcome(interp, "(defparameter v 8) (funcall th)")[0] == last
 
 
 class TestErrorKinds:
