@@ -6,7 +6,7 @@ passes constants through and wraps every other argument as a thunk forced
 only when the body reads the parameter.
 """
 
-from .core import Environment, Interpreter
+from .core import Interpreter
 from .errors import (
     DivergenceError,
     EvalError,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Interpreter",
-    "Environment",
     "LispError",
     "ReadError",
     "EvalError",

@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .core import Interpreter
+from .core import MAX_RECURSION_LIMIT, Interpreter
 from .errors import LispError, StepLimitExceeded
 from .reader import Reader, read_source
 from .values import print_value
@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "top-level form (default 10000000)")
     parser.add_argument("--recursion-limit", type=int, default=10_000,
                         metavar="N",
-                        help="maximum nested evaluation depth (default 10000)")
+                        help="maximum nested evaluation depth (default 10000, "
+                             f"at most {MAX_RECURSION_LIMIT})")
     return parser
 
 

@@ -1,13 +1,16 @@
 """Evaluator core: environments, special forms, application, binding.
 
-An Interpreter owns a global environment, the effect/thunk counters, and
-the step and depth budgets. Laziness shows up here in two places: a symbol
-read forces a thunk found in a lazy frame's slot (one rule, which lookup,
-and evaluate's loop in place for a bare symbol or an operand, apply), and
-the binder has a lazy mode that builds that frame. evaluate's loop enters
-a strict function, a builtin given an argument count in its arity, and a
-funcall of a strict function itself, and reads a quoted operand's cached
-value; lazy-call enters a lazy function; apply decides every other call.
+A lexical frame is a plain dict from symbols to values. Its private key
+_PARENT holds the enclosing frame, None in the global frame; a lazy call's
+frame also holds the private key _LAZY. An Interpreter owns a global frame,
+the effect/thunk counters, and the step and depth budgets. Laziness shows
+up here in two places: a symbol read forces a thunk found in a lazy frame's
+slot (one rule, which lookup, and evaluate's loop in place for a bare
+symbol or an operand, apply), and the binder has a lazy mode that builds
+that frame. evaluate's loop enters a strict function, a builtin given an
+argument count in its arity, and a funcall of a strict function itself,
+and reads a quoted operand's cached value; lazy-call enters a lazy
+function; apply decides every other call.
 """
 
 from __future__ import annotations
@@ -41,22 +44,17 @@ from .values import (
 # (..., bind_lambda_list, _keyword_pairs, force) and a lazy funcall's strict
 # default (..., apply, bind_lambda_list, _bind_param). A Python-to-Python
 # call takes no C stack, so any thread may take the ceiling;
-# sys.setrecursionlimit takes at most 2**31 - 1.
+# sys.setrecursionlimit takes at most 2**31 - 1, which a caller's own large
+# limit plus the raise could pass.
 _FRAMES_PER_DEPTH, _MAX_CEILING = 5, 2**31 - 1
+# About 0.4 KB per unit of depth for a plain recursion (Python 3.11: 53 MB at
+# 100,000; forms nested in lazy-call up to 2.5 KB): at the maximum, the depth
+# guard stops a runaway plain recursion within about 200 MB, before memory
+# runs out and CPython fails with a SystemError traceback.
+MAX_RECURSION_LIMIT = 500_000
 _MISSING = object()
+_PARENT, _LAZY = object(), object()  # a frame's private keys: see the module docstring
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
-
-
-class Environment(dict):
-    """A lexical frame: a dict from symbols to values, chained to its parent.
-
-    A lazy call's frame is ``lazy``: a read of a slot that holds a raw
-    thunk forces it, and other slots read as they are. Compare frames
-    with ``is`` only (an empty one is falsy; none hashes). There is no
-    ``__init__``: make one with ``Environment()``, then set both slots.
-    """
-
-    __slots__ = ("parent", "lazy")
 
 
 class Interpreter:
@@ -69,9 +67,9 @@ class Interpreter:
     threads at once.
     ``memoize`` selects call-by-need thunks instead of the default
     call-by-name. ``step_limit`` bounds evaluator steps plus loop
-    iterations per top-level form; ``recursion_limit`` bounds nested
-    list-form evaluations. ``print`` writes to ``sys.stdout`` as it is
-    when called.
+    iterations per top-level form; ``recursion_limit``, at most
+    MAX_RECURSION_LIMIT, bounds nested list-form evaluations. ``print``
+    writes to ``sys.stdout`` as it is when called.
     """
 
     def __init__(self, memoize: bool = False, step_limit: int = 10_000_000,
@@ -80,11 +78,12 @@ class Interpreter:
             raise ValueError("step_limit must be positive")
         if recursion_limit <= 0:
             raise ValueError("recursion_limit must be positive")
+        if recursion_limit > MAX_RECURSION_LIMIT:
+            raise ValueError(f"recursion_limit must be at most {MAX_RECURSION_LIMIT}")
         self.memoize = memoize
         self.step_limit = step_limit
         self.recursion_limit = recursion_limit
-        self.global_env = Environment()
-        self.global_env.parent, self.global_env.lazy = None, False
+        self.global_env = {_PARENT: None}
         self.tick_count = 0
         self.thunk_allocations = 0
         self._steps = 0
@@ -120,8 +119,8 @@ class Interpreter:
 
     # ---------------------------------------------------------- evaluator
 
-    def evaluate(self, form: Form, env: Environment):
-        """The value of ``form`` in ``env``. ``if``, a symbol read (a lazy slot's
+    def evaluate(self, form: Form, env: dict):
+        """The value of ``form`` in frame ``env``. ``if``, a symbol read (a lazy slot's
         memo cell, or its by-name form with one nested evaluate), a quoted
         operand, and a strict call of a strict function, of a builtin within its
         arity or of a strict function through funcall run in this loop, with no
@@ -141,10 +140,10 @@ class Interpreter:
                         return datum
                     frame = env  # lookup's rule, read in place
                     while (value := frame.get(datum, _MISSING)) is _MISSING:
-                        frame = frame.parent
+                        frame = frame[_PARENT]
                         if frame is None:
                             self.lookup(datum, env, form)  # unbound: raises
-                    if frame.lazy and type(value) is Thunk:  # force's rule, read in place
+                    if type(value) is Thunk and _LAZY in frame:  # force's rule, read in place
                         if value.expr is None:  # a memo cell
                             value = value.value
                         elif self.memoize or type(value.expr.datum) is Symbol:
@@ -183,11 +182,11 @@ class Interpreter:
                         if type(d) is Symbol:
                             frame = env  # as at the loop's top
                             while (slot := frame.get(d, _MISSING)) is _MISSING:
-                                frame = frame.parent
+                                frame = frame[_PARENT]
                                 if frame is None:
                                     self.lookup(d, env, item)  # unbound: raises
                             d = slot
-                            if frame.lazy and type(d) is Thunk:
+                            if type(d) is Thunk and _LAZY in frame:
                                 if d.expr is None:
                                     d = d.value
                                 elif self.memoize or type(d.expr.datum) is Symbol:
@@ -234,16 +233,17 @@ class Interpreter:
         finally:
             self._depth = depth
 
-    def lookup(self, symbol: Symbol, env: Environment, form: Form | None = None, follow=True):
-        """``symbol``'s value; a lazy slot's thunk is forced only if ``follow``."""
+    def lookup(self, symbol: Symbol, env: dict, form: Form | None = None, follow=True):
+        """``symbol``'s value, read from ``env`` out along each frame's _PARENT; a
+        thunk in a slot of a frame that holds _LAZY is forced only if ``follow``."""
         frame = env
         while frame is not None:
             slot = frame.get(symbol, _MISSING)
             if slot is not _MISSING:
-                if frame.lazy and follow and type(slot) is Thunk:
+                if follow and type(slot) is Thunk and _LAZY in frame:
                     return force(self, slot)
                 return slot
-            frame = frame.parent
+            frame = frame[_PARENT]
         where = (form.line, form.col) if form is not None else ()
         raise EvalError(f"unbound symbol {cut(symbol.name)}", *where, kind="unbound-symbol")
 
@@ -304,11 +304,12 @@ class Interpreter:
 
     # ------------------------------------------------------------ binding
 
-    def bind_lambda_list(self, fn: FunctionObject, args: list, lazy: bool) -> Environment:
-        """Build the frame in which ``fn``'s body runs on ``args``.
+    def bind_lambda_list(self, fn: FunctionObject, args: list, lazy: bool) -> dict:
+        """Build the frame in which ``fn``'s body runs on ``args``: a dict whose
+        _PARENT is ``fn``'s closure.
 
         Strict mode: missing defaults evaluated eagerly, left to right,
-        with earlier parameters visible. Lazy mode: the frame is lazy
+        with earlier parameters visible. Lazy mode: the frame holds _LAZY
         (values may be raw thunks); a missing optional/keyword parameter
         gets a thunk over its default expression closed over a copy of
         the bindings made so far; supplied-p slots hold t/nil; the rest
@@ -316,8 +317,7 @@ class Interpreter:
         their values not.
         """
         ll = fn.lambda_list
-        frame = Environment()
-        frame.parent, frame.lazy = fn.closure, lazy
+        frame = {_PARENT: fn.closure, _LAZY: True} if lazy else {_PARENT: fn.closure}
         n = len(args)
         nreq = len(ll.required)
         if n < nreq:
@@ -345,7 +345,7 @@ class Interpreter:
                 f"argument(s), got {n}", kind="arity-mismatch")
         return frame
 
-    def _keyword_pairs(self, frame: Environment, fn: FunctionObject, tail: list) -> dict:
+    def _keyword_pairs(self, frame: dict, fn: FunctionObject, tail: list) -> dict:
         label = _label(fn)
         if len(tail) % 2 != 0:
             raise EvalError(f"{label} received an odd number of keyword arguments",
@@ -353,7 +353,7 @@ class Interpreter:
         known = {key.keyword for key in fn.lambda_list.keys}
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
-            if frame.lazy:
+            if type(marker) is Thunk and _LAZY in frame:
                 marker = force(self, marker)
             if not isinstance(marker, Keyword):
                 raise EvalError(f"{label} expected a keyword marker, got {brief(marker)}",
@@ -365,7 +365,7 @@ class Interpreter:
                 pairs[marker] = value
         return pairs
 
-    def _bind_param(self, frame: Environment, param: Param, value):
+    def _bind_param(self, frame: dict, param: Param, value):
         """Bind an &optional or &key parameter, and its supplied-p flag.
 
         A ``value`` of _MISSING means no argument was given: the default
@@ -378,9 +378,8 @@ class Interpreter:
                 value = NIL
             else:
                 # the default sees the parameters bound so far, not later ones
-                seen = Environment(frame)
-                seen.parent, seen.lazy = frame.parent, frame.lazy
-                if frame.lazy:
+                seen = frame.copy()
+                if _LAZY in frame:
                     value = delay(self, param.default, seen)
                 else:
                     value = self.evaluate(param.default, seen)
@@ -416,8 +415,7 @@ def _sf_let(interp, form, env):
         bindings = ()
     elif not isinstance(bindings, list):
         raise _malformed("let bindings must be a list", items[1])
-    frame = Environment()
-    frame.parent, frame.lazy = env, False
+    frame = {_PARENT: env}
     # parallel let: initializers see the outer environment only
     for binding in bindings:
         d = binding.datum

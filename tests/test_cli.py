@@ -1,10 +1,13 @@
 """End-to-end command line behavior via subprocesses."""
 
+import resource
 import signal
 import subprocess
 import sys
 
 import pytest
+
+from clz.core import MAX_RECURSION_LIMIT
 
 CLZ = [sys.executable, "-m", "clz"]
 
@@ -344,12 +347,29 @@ class TestFlags:
         assert proc.returncode == 0
         assert proc.stdout == "2000\n"
 
-    def test_huge_recursion_limit_is_accepted(self):
-        # 4 host frames per unit would pass the largest C int
+    def test_huge_recursion_limit_is_a_usage_error(self):
+        # 5 host frames per unit would pass the largest C int, and its depth
+        # would need far more memory than a machine holds
         proc = run_clz("--recursion-limit", "1000000000", "--eval", "(+ 1 2)")
-        assert proc.returncode == 0
-        assert proc.stdout == "3\n"
-        assert proc.stderr == ""
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.endswith("clz: error: argument --recursion-limit: "
+                                    f"must be at most {MAX_RECURSION_LIMIT}\n")
+
+    def test_runaway_recursion_at_the_maximum_limit_fits_in_memory(self):
+        # at about 0.4 KB per unit of depth the maximum needs about 200 MB:
+        # under a 512 MB address-space cap, which limits the child only, the
+        # depth guard still stops it, where memory running out would end in
+        # a Python traceback
+        cap = 512 << 20
+        proc = subprocess.run(
+            CLZ + ["--recursion-limit", str(MAX_RECURSION_LIMIT),
+                   "--eval", "(progn (defun f (n) (+ 1 (f n))) (f 0))"],
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 1
+        assert proc.stderr == ("<eval>:1:21: recursion-limit: recursion depth "
+                               f"exceeded the limit of {MAX_RECURSION_LIMIT}\n")
 
     def test_raised_recursion_limit_reaches_deeper(self, tmp_path):
         path = script(tmp_path, """
@@ -369,11 +389,13 @@ class TestInterrupt:
     LOOP = "(progn (print 'go) (loop))"
 
     def start(self, *args):
-        # unbuffered, so GO arrives as soon as the loop is about to run
+        # unbuffered, so GO arrives as soon as the loop is about to run; SIGINT
+        # back to its default, since a child of a background shell job would
+        # otherwise inherit it ignored and never see the interrupt
         return subprocess.Popen(
             [sys.executable, "-u", "-m", "clz", "--step-limit", "2000000000", *args],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True)
+            text=True, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
 
     def interrupt_after_go(self, proc):
         assert proc.stdout.readline().endswith("GO\n")

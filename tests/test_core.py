@@ -21,6 +21,7 @@ from clz import (
     T,
     print_value,
 )
+from clz.core import MAX_RECURSION_LIMIT
 from clz.reader import read_source
 from tests.conftest import to_py
 
@@ -291,12 +292,18 @@ class TestApplication:
     @pytest.mark.parametrize("source, printed", [
         # a strict frame's thunk is passed on as it is, unforced
         ("(let ((d (delay (diverge)))) (cons 1 d))", "(1 . #<thunk>)"),
+        # so is a global's, and a strict default's, read in a copy of its frame
+        ("(defparameter d (delay 1)) (cons 1 d)", "(1 . #<thunk>)"),
+        ("(defun g (x &optional (y x)) y) (cons 1 (g (delay 1)))", "(1 . #<thunk>)"),
+        # a lazy default's copy of its frame is lazy too, and forces the slot
+        ("(deflazy k (x &optional (y (list x))) y) (lazy-call 'k (+ 1 2))", "(3)"),
         # a parameter shadows the global function of the same name
         ("(defun f (car) (+ car 1)) (f 2)", "3"),
         # A is bound two frames above the innermost body's frame
         ("(defun adder (a) (lambda (b) (lambda (c) (list a b c))))"
          " (funcall (funcall (adder 1) 2) 3)", "(1 2 3)"),
-    ], ids=["strict-thunk", "shadowed-global", "two-frames-up"])
+    ], ids=["strict-thunk", "global-thunk", "strict-default-thunk", "lazy-default",
+            "shadowed-global", "two-frames-up"])
     def test_operand_symbols_read_as_lookup_does(self, interp, source, printed):
         assert print_value(interp.run(source)) == printed
 
@@ -536,6 +543,23 @@ class TestBudgets:
         with pytest.raises(ValueError, match=f"^{budget} must be positive$"):
             Interpreter(**{budget: 0}, prelude=False)
 
+    def test_recursion_limit_has_a_maximum(self):
+        Interpreter(recursion_limit=MAX_RECURSION_LIMIT, prelude=False)
+        with pytest.raises(ValueError, match=f"^recursion_limit must be at most "
+                                             f"{MAX_RECURSION_LIMIT}$"):
+            Interpreter(recursion_limit=MAX_RECURSION_LIMIT + 1, prelude=False)
+
+    def test_a_host_limit_near_the_largest_c_int_stays_valid(self):
+        # the caller's own limit plus eval_top's raise would pass 2**31 - 1
+        found = sys.getrecursionlimit()
+        sys.setrecursionlimit(2**31 - 10)
+        try:
+            interp = Interpreter(recursion_limit=MAX_RECURSION_LIMIT, prelude=False)
+            assert interp.run("(+ 1 2)") == 3
+            assert sys.getrecursionlimit() == 2**31 - 10
+        finally:
+            sys.setrecursionlimit(found)
+
     def test_recursion_limit_kind(self):
         interp = Interpreter(recursion_limit=300, prelude=False)
         interp.run("(defun down (n) (if (= n 0) 0 (down (- n 1))))")
@@ -593,7 +617,7 @@ class TestBudgets:
         assert sys.getrecursionlimit() == found
         assert interp.run("(+ 1 1)") == 2
 
-    # Each runaway construction nests at most 4 host frames per unit of
+    # Each runaway construction nests at most 5 host frames per unit of
     # depth, the ceiling eval_top sets, so the depth guard stops every one.
     @pytest.mark.parametrize("setup, program", [
         ("(defun f (n) (+ 1 (f n)))", "(f 1)"),
