@@ -47,11 +47,11 @@ from .values import (
 # sys.setrecursionlimit takes at most 2**31 - 1, which a caller's own large
 # limit plus the raise could pass.
 _FRAMES_PER_DEPTH, _MAX_CEILING = 5, 2**31 - 1
-# About 0.4 KB per unit of depth for a plain recursion (Python 3.11: 53 MB at
-# 100,000; forms nested in lazy-call up to 2.5 KB): at the maximum, the depth
-# guard stops a runaway plain recursion within about 200 MB, before memory
-# runs out and CPython fails with a SystemError traceback.
-MAX_RECURSION_LIMIT = 500_000
+# Peak memory per unit of depth (Python 3.11 to 3.13): 0.4 KB for a plain
+# recursion, up to 2.6 KB for an &optional default recursing through a lazy
+# funcall. At the maximum the depth guard stops the worst within about 280 MB,
+# before memory runs out and CPython fails with a SystemError traceback.
+MAX_RECURSION_LIMIT = 100_000
 _MISSING = object()
 _PARENT, _LAZY = object(), object()  # a frame's private keys: see the module docstring
 _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a Form
@@ -482,14 +482,7 @@ def _defined_name(form: Form) -> Symbol:
 
 def _sf_ecase(interp, form, env):
     items = form.datum
-    key_form = items[1]
-    key = key_form.datum
-    if type(key) is list or interp._steps >= interp.step_limit:
-        key = interp.evaluate(key_form, env)  # a list, or the step-limit error
-    else:  # an atom: the step evaluate would take, and a symbol's lookup
-        interp._steps += 1
-        if type(key) is Symbol:
-            key = interp.lookup(key, env, key_form)
+    key = interp.evaluate(items[1], env)
     for clause in items[2:]:
         d = clause.datum
         if not isinstance(d, list) or not d:

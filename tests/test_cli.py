@@ -356,19 +356,25 @@ class TestFlags:
         assert proc.stderr.endswith("clz: error: argument --recursion-limit: "
                                     f"must be at most {MAX_RECURSION_LIMIT}\n")
 
-    def test_runaway_recursion_at_the_maximum_limit_fits_in_memory(self):
-        # at about 0.4 KB per unit of depth the maximum needs about 200 MB:
-        # under a 512 MB address-space cap, which limits the child only, the
-        # depth guard still stops it, where memory running out would end in
-        # a Python traceback
+    @pytest.mark.parametrize("source, col", [
+        ("(progn (defun f (n) (+ 1 (f n))) (f 0))", 21),
+        ("(progn (defun d (&optional (x (lazy-call (lazy #'funcall) #'d))) x) (d))", 48),
+        ("(progn (defun d (&optional (x (d))) x) (d))", 31),
+    ], ids=["plain", "lazy-funcall-default", "strict-default"])
+    def test_runaway_recursion_at_the_maximum_limit_fits_in_memory(self, source, col):
+        # peak RSS at the maximum on Python 3.11, 3.12 and 3.13: a plain
+        # recursion 52-57 MiB, the strict default 168-177 MiB, and the default
+        # through a lazy funcall, the most memory per unit measured (about
+        # 2.6 KB), 255-266 MiB; each met the depth guard under a 384 MB
+        # address-space cap too. The cap limits the child only; memory running
+        # out would end in a Python traceback
         cap = 512 << 20
         proc = subprocess.run(
-            CLZ + ["--recursion-limit", str(MAX_RECURSION_LIMIT),
-                   "--eval", "(progn (defun f (n) (+ 1 (f n))) (f 0))"],
+            CLZ + ["--recursion-limit", str(MAX_RECURSION_LIMIT), "--eval", source],
             capture_output=True, text=True, timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
         assert proc.returncode == 1
-        assert proc.stderr == ("<eval>:1:21: recursion-limit: recursion depth "
+        assert proc.stderr == (f"<eval>:1:{col}: recursion-limit: recursion depth "
                                f"exceeded the limit of {MAX_RECURSION_LIMIT}\n")
 
     def test_raised_recursion_limit_reaches_deeper(self, tmp_path):

@@ -149,6 +149,28 @@ class TestSpecialForms:
     def test_ecase_multi_form_body(self, interp):
         assert interp.run("(ecase 'a (a 1 2 3))") == 3
 
+    # An atom key is read as an operand is: a lazy slot is forced, by need
+    # once, a strict frame's thunk is not, and an unbound key is positioned.
+    _TWICE = ("(deflazy f (k) (list (ecase k (a 1)) (ecase k (a 2))))"
+              " (lazy-call 'f (progn (tick!) 'a))")
+    _SLOT = "(deflazy f (k) (ecase k (a 1))) (lazy-call 'f (delay 'a))"
+
+    @pytest.mark.parametrize("memoize, source, expected, ticks", [
+        (False, _TWICE, ("(1 2)", 18, 1), 2),
+        (True, _TWICE, ("(1 2)", 14, 1), 1),
+        (False, _SLOT, ("1", 7, 2), 0),
+        (True, _SLOT, ("1", 7, 2), 0),
+        (False, "(let ((k (delay 'a))) (ecase k (a 1)))",
+         (("ecase-no-match", "#<thunk> matched no ecase clause", "1:23"), 4, 1), 0),
+        (False, "(ecase\n  nope (a 1))",
+         (("unbound-symbol", "unbound symbol NOPE", "2:3"), 2, 0), 0),
+    ], ids=["slot-read-twice-by-name", "slot-read-twice-by-need", "slot-thunk-by-name",
+            "slot-thunk-by-need", "strict-frame-thunk", "unbound"])
+    def test_an_atom_ecase_key(self, memoize, source, expected, ticks):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        assert _outcome(interp, source) == expected
+        assert interp.tick_count == ticks
+
     def test_loop_rejects_clauses(self, interp):
         with pytest.raises(EvalError) as exc:
             interp.run("(loop 1)")
@@ -308,7 +330,8 @@ class TestApplication:
         assert print_value(interp.run(source)) == printed
 
     # (OP ARGS...) enters a strict function or an in-arity builtin in
-    # evaluate's loop; (funcall OP ARGS...) always goes through apply.
+    # evaluate's loop, and (funcall OP ARGS...) a strict function too; apply
+    # takes every other funcall.
     @pytest.mark.parametrize("op, args, expected", [
         ("sq", "3", "9"),
         ("sq", "", "arity-mismatch"),
@@ -887,9 +910,9 @@ def _outcome(interp, source):
 
 
 class TestReadsInTheLoop:
-    """A lazy slot, a quote, an atom ecase key and a funcall are read or entered
-    in evaluate's loop, with the value, steps, thunks and errors (kind, message,
-    line:col) that nested evaluation gives."""
+    """A lazy slot, a quote and a funcall are read or entered in evaluate's
+    loop, with the value, steps, thunks and errors (kind, message, line:col)
+    that nested evaluation gives."""
 
     @pytest.mark.parametrize("memoize", [False, True], ids=["by-name", "by-need"])
     @pytest.mark.parametrize("body, printed, steps, thunks", [
