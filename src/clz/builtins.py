@@ -1,4 +1,5 @@
-"""Primitive functions installed into every fresh global environment.
+"""Primitive functions: one table of builtin objects, built at import,
+that every Interpreter's global frame starts as a copy of.
 
 Arithmetic is signed 64-bit. Two integer operands with an in-range
 result take a direct path; any other call folds, checking each
@@ -146,7 +147,9 @@ def _bi_print(interp, args):
     return args[0]
 
 
-_TABLE = [
+# Each builtin's symbol and its object, which no interpreter changes.
+BUILTINS = {Symbol.intern(name): BuiltinFunction(Symbol.intern(name), fn, lo, hi)
+            for name, fn, lo, hi in [
     ("+", _fold("+", operator.add, 0), 0, None),
     ("-", _fold("-", operator.sub, 0), 1, None),
     ("*", _fold("*", operator.mul, 1), 0, None),
@@ -165,10 +168,4 @@ _TABLE = [
     ("tick!", _bi_tick, 0, 0),
     ("ticks", _bi_ticks, 0, 0),
     ("print", _bi_print, 1, 1),
-]
-
-
-def install(interp) -> None:
-    for name, fn, lo, hi in _TABLE:
-        symbol = Symbol.intern(name)
-        interp.global_env[symbol] = BuiltinFunction(symbol, fn, lo, hi)
+]}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from . import builtins as _builtins
+from .builtins import BUILTINS
 from .errors import EvalError, LispError, StepLimitExceeded, _malformed
 from .lambdalist import Param, lambda_list_of
 from .lazy import delay, eval_delay, eval_lazify, eval_lazy_call, force
@@ -60,11 +60,12 @@ _PRELUDE = read_source(PRELUDE_SOURCE)  # read once; evaluation never mutates a 
 class Interpreter:
     """One evaluation universe: bindings, counters, budgets.
 
-    Instances are independent and single-threaded; never share one across
-    threads. Construction changes no process state; while a top-level form
-    runs, the process-wide host recursion limit is raised by 5 frames per
-    unit of ``recursion_limit``, so no two interpreters may evaluate on two
-    threads at once.
+    Its global frame starts as a copy of the builtin table. Instances are
+    independent and single-threaded; never share one across threads.
+    Construction changes no process state; while a top-level form runs, the
+    process-wide host recursion limit is raised by 5 frames per unit of
+    ``recursion_limit``, so no two interpreters may evaluate on two threads
+    at once.
     ``memoize`` selects call-by-need thunks instead of the default
     call-by-name. ``step_limit`` bounds evaluator steps plus loop
     iterations per top-level form; ``recursion_limit``, at most
@@ -83,12 +84,11 @@ class Interpreter:
         self.memoize = memoize
         self.step_limit = step_limit
         self.recursion_limit = recursion_limit
-        self.global_env = {_PARENT: None}
+        self.global_env = {_PARENT: None, **BUILTINS}
         self.tick_count = 0
         self.thunk_allocations = 0
         self._steps = 0
         self._depth = 0
-        _builtins.install(self)
         if prelude:
             for form in _PRELUDE:
                 self.eval_top(form)
@@ -168,6 +168,7 @@ class Interpreter:
                     for item in datum:
                         d = item.datum
                         if type(d) is list:
+                            # d[1].cache is still None if an interrupt stopped _sf_quote
                             if (item.cache is not _sf_quote or d[1].cache is None
                                     or self._steps >= self.step_limit
                                     or self._depth >= self.recursion_limit):

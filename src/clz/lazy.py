@@ -78,16 +78,17 @@ def eval_lazy_call(interp, form: Form, env):
     """(lazy-call OP ARGS...) -> apply OP lazily to thunked args.
 
     The operator is evaluated strictly, a quote read in place as evaluate's
-    loop reads one; a symbol means its current global binding, looked up as
-    funcall does. A constant argument form (a self-evaluating atom, such as a
-    keyword marker, or a quote) passes through as its value; a symbol or any
-    other list form becomes a thunk over the unevaluated form.
+    loop reads one; a symbol means its current binding, read from the global
+    frame, which is never lazy. A constant argument form (a self-evaluating
+    atom, such as a keyword marker, or a quote) passes through as its value;
+    a symbol or any other list form becomes a thunk over the unevaluated form.
     A function with the lazy flag is bound here, and its body is the tail;
     apply forces a builtin's arguments and refuses every other operator.
     """
     items = form.datum
     op_form = items[1]
     d = op_form.datum
+    # d[1].cache is still None if an interrupt stopped _sf_quote
     if (type(d) is list and d[0].datum is _QUOTE and op_form.cache is not None
             and d[1].cache is not None and interp._steps < interp.step_limit
             and interp._depth < interp.recursion_limit):
@@ -96,11 +97,10 @@ def eval_lazy_call(interp, form: Form, env):
     else:
         op = interp.evaluate(op_form, env)
     if type(op) is Symbol:
-        try:
-            op = interp.lookup(op, interp.global_env)
-        except EvalError:
+        if (fn := interp.global_env.get(op)) is None:
             raise EvalError(f"{brief(op)} has no lazy version (define it with deflazy)",
-                            kind="no-lazy-version") from None
+                            kind="no-lazy-version")
+        op = fn
     args = []
     for arg_form in items[2:]:
         d = arg_form.datum

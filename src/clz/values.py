@@ -114,7 +114,8 @@ class FunctionObject(_Value):
 
 class BuiltinFunction(_Value):
     """Native primitive: ``fn`` takes (interpreter, args), or is None for
-    funcall, which evaluate's loop or apply resolves. Built strict-only."""
+    funcall, which evaluate's loop or apply resolves. Built strict-only, one
+    object per process that is never changed: (lazy X) flips a copy's flags."""
 
     __slots__ = ("name", "fn", "min_args", "max_args", "strict", "lazy")
 

@@ -21,7 +21,7 @@ from clz import (
     T,
     print_value,
 )
-from clz.core import MAX_RECURSION_LIMIT
+from clz.core import MAX_RECURSION_LIMIT, _sf_quote
 from clz.reader import read_source
 from tests.conftest import to_py
 
@@ -771,7 +771,12 @@ class TestBudgets:
         a.run("(defparameter only-a 1)")
         with pytest.raises(EvalError):
             b.run("only-a")
-
+        # every interpreter's global frame holds the same builtin objects
+        a.run("(defun car (x) 0) (defparameter + 1) (defparameter c (lazy #'cdr))")
+        assert b.run("(car '(1 2))") == 1
+        assert b.run("(+ 1 2)") == 3
+        assert print_value(b.run("(cdr '(1 2))")) == "(2)"
+        assert print_value(a.run("(lazy-call c '(1 2))")) == "(2)"
 
 
 class TestFormCache:
@@ -964,6 +969,22 @@ class TestReadsInTheLoop:
         interp.run(call)
         interp.recursion_limit = limit
         assert _outcome(interp, call)[0] == expected
+
+    @pytest.mark.parametrize("setup, source, printed, steps", [
+        ("", "(list 'a)", "(A)", 3),
+        ("(deflazy h (x) x)", "(lazy-call 'h 3)", "3", 4),
+    ], ids=["operand", "lazy-call-operator"])
+    def test_a_quote_an_interrupt_left_without_its_value(self, setup, source, printed, steps):
+        # A Ctrl-C in _sf_quote, after evaluate cached the quote's dispatch,
+        # leaves the quoted form with no value; the REPL keeps the session.
+        interp = Interpreter(prelude=False)
+        interp.run(setup)
+        (form,) = read_source(source)
+        quote = form.datum[1]
+        quote.cache = _sf_quote
+        assert quote.datum[1].cache is None
+        assert print_value(interp.eval_top(form)) == printed
+        assert interp._steps == steps
 
     @pytest.mark.parametrize("source, expected", [
         ("(funcall 'nope)", ("unbound-symbol", "unbound symbol NOPE", "2:3")),
