@@ -5,12 +5,12 @@ _PARENT holds the enclosing frame, None in the global frame; a lazy call's
 frame also holds the private key _LAZY. An Interpreter owns a global frame,
 the effect/thunk counters, and the step and depth budgets. Laziness shows
 up here in two places: a symbol read forces a thunk found in a lazy frame's
-slot (one rule, which lookup, and evaluate's loop in place for a bare
-symbol or an operand, apply), and the binder has a lazy mode that builds
+slot (one rule: lookup applies it, and evaluate's loop applies it in place
+for a bare symbol or an operand), and the binder has a lazy mode that builds
 that frame. evaluate's loop enters a strict function, a builtin given an
 argument count in its arity, and a funcall of a strict function itself,
-and reads a quoted operand's cached value; lazy-call enters a lazy
-function; apply decides every other call.
+and reads a quoted operand's value, which the quote's first dispatch made;
+lazy-call enters a lazy function; apply decides every other call.
 """
 
 from __future__ import annotations
@@ -168,9 +168,7 @@ class Interpreter:
                     for item in datum:
                         d = item.datum
                         if type(d) is list:
-                            # d[1].cache is still None if an interrupt stopped _sf_quote
-                            if (item.cache is not _sf_quote or d[1].cache is None
-                                    or self._steps >= self.step_limit
+                            if (item.cache is not _sf_quote or self._steps >= self.step_limit
                                     or self._depth >= self.recursion_limit):
                                 args.append(self.evaluate(item, env))
                             else:  # a quote, whose nested evaluate's checks would pass
@@ -398,11 +396,7 @@ def _label(fn) -> str:
 # A handler returns a value, or a tail: (forms left to run, their env).
 
 def _sf_quote(interp, form, env):
-    # One value serves every evaluation: a Cons is immutable, and clz has no eq.
-    quoted = form.datum[1]
-    if quoted.cache is None:
-        quoted.cache = form_to_value(quoted)
-    return quoted.cache
+    return form.datum[1].cache  # made by _dispatch
 
 
 def _sf_progn(interp, form, env):
@@ -421,13 +415,14 @@ def _sf_let(interp, form, env):
     for binding in bindings:
         d = binding.datum
         if isinstance(d, Symbol):
-            frame[d] = NIL
-            continue
-        if isinstance(d, list) and 1 <= len(d) <= 2 and isinstance(d[0].datum, Symbol):
-            value = interp.evaluate(d[1], env) if len(d) == 2 else NIL
-            frame[d[0].datum] = value
-            continue
-        raise _malformed(f"malformed let binding {binding!r}", binding)
+            name, init = d, None
+        elif isinstance(d, list) and 1 <= len(d) <= 2 and isinstance(d[0].datum, Symbol):
+            name, init = d[0].datum, d[1] if len(d) == 2 else None
+        else:
+            raise _malformed(f"malformed let binding {binding!r}", binding)
+        if name in frame:
+            raise _malformed(f"duplicate let variable {cut(name.name)}", binding)
+        frame[name] = NIL if init is None else interp.evaluate(init, env)
     return items[2:], frame
 
 
@@ -505,15 +500,19 @@ def _sf_loop(interp, form, env):
 
 def _dispatch(form: Form):
     """The handler of list ``form``'s special form, _IF for an if, or _CALL for
-    a call. A malformed special form raises, so a failed check is never cached."""
+    a call. A malformed special form raises, so a failed check is never cached;
+    a quote's value is made here, so a quote whose dispatch is cached has one."""
     head = form.datum[0].datum
     special = _SPECIAL_FORMS.get(head) if type(head) is Symbol else None
     if special is None:
         return _CALL
     handler, fewest, most, message = special
-    if fewest <= len(form.datum) <= most:
-        return handler
-    raise _malformed(message, form)
+    if not fewest <= len(form.datum) <= most:
+        raise _malformed(message, form)
+    if handler is _sf_quote:
+        # One value serves every evaluation: a Cons is immutable, and clz has no eq.
+        form.datum[1].cache = form_to_value(form.datum[1])
+    return handler
 
 
 _CALL = object()  # form.cache of a list form that is a call

@@ -88,10 +88,8 @@ def eval_lazy_call(interp, form: Form, env):
     items = form.datum
     op_form = items[1]
     d = op_form.datum
-    # d[1].cache is still None if an interrupt stopped _sf_quote
     if (type(d) is list and d[0].datum is _QUOTE and op_form.cache is not None
-            and d[1].cache is not None and interp._steps < interp.step_limit
-            and interp._depth < interp.recursion_limit):
+            and interp._steps < interp.step_limit and interp._depth < interp.recursion_limit):
         interp._steps += 1  # a quote, whose nested evaluate's checks would pass
         op = d[1].cache
     else:

@@ -67,6 +67,7 @@ class Form:
     list of sub-Forms. Surface lists are always proper; ``()`` reads as NIL.
     ``cache`` is None as read. A first evaluation that succeeds keeps there
     what depends on this Form alone: its dispatch, quoted value or parse.
+    A quote's value is made when the quote is dispatched, before that is kept.
     """
 
     __slots__ = ("datum", "line", "col", "cache")

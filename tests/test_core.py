@@ -21,7 +21,7 @@ from clz import (
     T,
     print_value,
 )
-from clz.core import MAX_RECURSION_LIMIT, _sf_quote
+from clz.core import MAX_RECURSION_LIMIT
 from clz.reader import read_source
 from tests.conftest import to_py
 
@@ -86,6 +86,19 @@ class TestSpecialForms:
         assert interp.run("(let (x) x)") is NIL
         assert interp.run("(let ((x)) x)") is NIL
         assert interp.run("(let ((x 1) (y 2)) (+ x y))") == 3
+
+    # Reported at the second binding, before its initializer runs.
+    @pytest.mark.parametrize("source, where, ticks", [
+        ("(let ((x 1) (x 2)) x)", "1:13", 0),
+        ("(let (x x) x)", "1:9", 0),
+        ("(let ((x (tick!)) (x (tick!))) x)", "1:19", 1),
+    ], ids=["pairs", "bare", "ticks-once"])
+    def test_let_binding_one_name_twice_is_malformed(self, interp, source, where, ticks):
+        with pytest.raises(EvalError) as exc:
+            interp.run(source)
+        assert (exc.value.kind, exc.value.message, exc.value.where()) == (
+            "malformed-special-form", "duplicate let variable X", where)
+        assert interp.tick_count == ticks
 
     def test_let_scoping_restores(self, interp):
         interp.run("(defparameter x 10)")
@@ -299,6 +312,24 @@ class TestApplication:
         with pytest.raises(EvalError) as exc:
             interp.run(source)
         assert (exc.value.kind, exc.value.message) == ("arity-mismatch", message)
+
+    # A builtin's arity message, the same when called, through funcall and
+    # through lazy-call of its lazy copy (apply's lazy path).
+    @pytest.mark.parametrize("template", [
+        "({}{})", "(funcall #'{}{})", "(lazy-call (lazy #'{}){})",
+    ], ids=["call", "funcall", "lazy-call"])
+    @pytest.mark.parametrize("name, args, message", [
+        ("car", " 1 2", "CAR takes 1 argument(s), got 2"),
+        ("ticks", " 1", "TICKS takes 0 argument(s), got 1"),
+        ("-", "", "- takes at least 1 argument(s), got 0"),
+        ("two", " 1 2 3", "TWO takes 1 to 2 argument(s), got 3"),
+    ], ids=["exact", "none", "at-least", "range"])
+    def test_builtin_arity_messages(self, template, name, args, message):
+        interp = Interpreter(prelude=False)
+        two = Symbol.intern("TWO")
+        interp.global_env[two] = BuiltinFunction(two, lambda interp, args: NIL, 1, 2)
+        source = "\n  " + template.format(name, args)
+        assert _outcome(interp, source)[0] == ("arity-mismatch", message, "2:3")
 
     def test_error_carries_position(self, interp):
         with pytest.raises(EvalError) as exc:
@@ -974,17 +1005,27 @@ class TestReadsInTheLoop:
         ("", "(list 'a)", "(A)", 3),
         ("(deflazy h (x) x)", "(lazy-call 'h 3)", "3", 4),
     ], ids=["operand", "lazy-call-operator"])
-    def test_a_quote_an_interrupt_left_without_its_value(self, setup, source, printed, steps):
-        # A Ctrl-C in _sf_quote, after evaluate cached the quote's dispatch,
-        # leaves the quoted form with no value; the REPL keeps the session.
+    def test_an_interrupt_while_a_quote_is_dispatched_keeps_nothing(
+            self, monkeypatch, setup, source, printed, steps):
+        # A Ctrl-C while a quote's value is made leaves the quote undispatched
+        # and its operand without a value, so the next evaluation starts afresh.
         interp = Interpreter(prelude=False)
         interp.run(setup)
         (form,) = read_source(source)
         quote = form.datum[1]
-        quote.cache = _sf_quote
+
+        def interrupt(form):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr("clz.core.form_to_value", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                interp.eval_top(form)
+        assert quote.cache is None
         assert quote.datum[1].cache is None
-        assert print_value(interp.eval_top(form)) == printed
-        assert interp._steps == steps
+        for _ in range(2):  # the second evaluation reads the quote in place
+            assert print_value(interp.eval_top(form)) == printed
+            assert interp._steps == steps
 
     @pytest.mark.parametrize("source, expected", [
         ("(funcall 'nope)", ("unbound-symbol", "unbound symbol NOPE", "2:3")),
