@@ -9,7 +9,6 @@ output closed early, 2 I/O error or a bad option, 3 step limit,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -19,26 +18,55 @@ from .reader import Reader, read_source
 from .values import print_value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clz",
-        description="A small Lisp whose functions can take their arguments lazily.",
-    )
-    parser.add_argument("file", nargs="?",
-                        help="script to run; omit (and no --eval) for a REPL")
-    parser.add_argument("--eval", metavar="FORM", dest="eval_texts", action="append",
-                        help="evaluate the given form(s), print each value; repeatable")
-    parser.add_argument("--memoize", action="store_true",
-                        help="memoize thunks: call-by-need instead of call-by-name")
-    parser.add_argument("--step-limit", type=int, default=10_000_000,
-                        metavar="N",
-                        help="evaluator steps + loop iterations allowed per "
-                             "top-level form (default 10000000)")
-    parser.add_argument("--recursion-limit", type=int, default=10_000,
-                        metavar="N",
-                        help="maximum nested evaluation depth (default 10000, "
-                             f"at most {MAX_RECURSION_LIMIT})")
-    return parser
+_USAGE = "usage: clz [FILE] [--eval FORM]... [--memoize] [--step-limit N] [--recursion-limit N]\n"
+_HELP = f"""{_USAGE}
+A small Lisp whose functions can take their arguments lazily. FILE is a
+script to run; with no FILE and no --eval, a REPL starts.
+
+  --eval FORM          evaluate the forms in FORM, print each value; repeatable
+  --memoize            memoize thunks: call-by-need instead of call-by-name
+  --step-limit N       steps + loop iterations per top-level form (default 10000000)
+  --recursion-limit N  nested evaluation depth (default 10000, at most {MAX_RECURSION_LIMIT})
+  -h, --help           show this help and exit
+
+Options are spelled in full; a VALUE follows its option, after a space or '='.
+"""
+
+
+def _parse(argv: list[str]):
+    """The options in ``argv`` by name, with "interp" the Interpreter they
+    configure; None for -h; or a usage error's message."""
+    opts = {"FILE": None, "--step-limit": 10_000_000, "--recursion-limit": 10_000}
+    args = iter(argv)
+    for arg in args:
+        name, eq, value = arg.partition("=") if arg.startswith("--") else (arg, "", "")
+        if name in ("--eval", "--step-limit", "--recursion-limit"):
+            if not eq and (value := next(args, None)) is None:
+                return f"argument {name}: expected one argument"
+            if name == "--eval":
+                opts.setdefault(name, []).append(value)
+                continue
+            try:
+                opts[name] = int(value)
+            except ValueError:
+                return f"argument {name}: invalid int value: {value!r}"
+        elif arg in ("-h", "--help"):
+            return None
+        elif arg == "--memoize":
+            opts[arg] = True
+        elif opts["FILE"] is None and not arg.startswith("-"):
+            opts["FILE"] = arg
+        else:
+            return f"unrecognized arguments: {arg}"
+    if opts["FILE"] is not None and "--eval" in opts:
+        return "give a FILE or --eval, not both"
+    try:
+        opts["interp"] = Interpreter(memoize="--memoize" in opts, step_limit=opts["--step-limit"],
+                                     recursion_limit=opts["--recursion-limit"])
+    except ValueError as err:   # "step_limit must be positive": name the option
+        name, _, reason = str(err).partition(" ")
+        return f"argument --{name.replace('_', '-')}: {reason}"
+    return opts
 
 
 def _repl(interp: Interpreter) -> int:
@@ -90,33 +118,35 @@ def _run_text(interp: Interpreter, text: str, origin: str, echo: bool) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.file is not None and args.eval_texts is not None:
-        parser.error("give a FILE or --eval, not both")
-    try:
-        interp = Interpreter(memoize=args.memoize, step_limit=args.step_limit,
-                             recursion_limit=args.recursion_limit)
-    except ValueError as err:   # "step_limit must be positive": name the option
-        name, _, reason = str(err).partition(" ")
-        parser.error(f"argument --{name.replace('_', '-')}: {reason}")
-    texts, origin = args.eval_texts, "<eval>"
-    if args.file is not None:
+def _run(opts: dict) -> int:
+    """Run the file, the --eval texts or the REPL that ``opts`` asks for."""
+    interp, path, texts, origin = opts["interp"], opts["FILE"], opts.get("--eval"), "<eval>"
+    if path is not None:
         try:
-            with open(args.file, "r", encoding="utf-8-sig") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 texts = [fh.read()]
         except (OSError, UnicodeDecodeError) as err:
             reason = err.strerror if isinstance(err, OSError) else err
-            print(f"clz: cannot read {args.file}: {reason}", file=sys.stderr)
+            print(f"clz: cannot read {path}: {reason}", file=sys.stderr)
             return 2
-        origin = args.file
+        origin = path
+    code = _repl(interp) if texts is None else 0
+    for text in texts or ():  # each in order, up to the first that fails
+        code = _run_text(interp, text, origin, echo=path is None)
+        if code:
+            break
+    return code
+
+
+def main(argv=None) -> int:
+    opts = _parse(sys.argv[1:] if argv is None else argv)
+    if type(opts) is str:
+        sys.stderr.write(f"{_USAGE}clz: error: {opts}\n")
+        return 2
     try:
-        code = _repl(interp) if texts is None else 0
-        for text in texts or ():  # each in order, up to the first that fails
-            code = _run_text(interp, text, origin, echo=args.file is None)
-            if code:
-                break
+        if opts is None:
+            sys.stdout.write(_HELP)
+        code = 0 if opts is None else _run(opts)
         sys.stdout.flush()
     except BrokenPipeError:   # stdout's reader left; what is still buffered goes nowhere
         with open(os.devnull, "w") as devnull:

@@ -128,8 +128,9 @@ class Interpreter:
         the chosen if branch or a body's last form, goes round the loop instead
         of nesting, with the steps, depth and error position nesting would give."""
         depth = self._depth
-        call = None  # the innermost list form entered: it positions errors
         try:
+            # Not the loop first: an interrupt at its back jump would escape the try (3.11)
+            call = None  # the innermost list form entered: it positions errors
             while True:
                 self._steps += 1
                 if self._steps > self.step_limit:

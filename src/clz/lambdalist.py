@@ -8,7 +8,7 @@ section, and sections only move forward. Binding is in core.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .errors import EvalError
 from .values import NIL, Keyword, Symbol, cut
@@ -19,12 +19,9 @@ _KEY = Symbol.intern("&KEY")
 _SECTIONS = {Symbol.intern("&OPTIONAL"): 1, Symbol.intern("&REST"): 2, _KEY: 3}
 
 
-class Param(NamedTuple):
-    """An &optional parameter (``keyword`` None) or a &key parameter."""
-    name: Symbol                # the variable bound in the body
-    keyword: Optional[Keyword]  # the marker callers pass, e.g. :name
-    default: Optional[Form]     # None means no default written (binds NIL)
-    supplied: Optional[Symbol]  # supplied-p variable, if written
+# An &optional parameter (keyword None) or a &key parameter (keyword :name);
+# default and supplied are None when no default form or supplied-p is written.
+Param = namedtuple("Param", "name keyword default supplied")
 
 
 class LambdaList:
@@ -33,8 +30,8 @@ class LambdaList:
     def __init__(self, required, optional, rest, keys):
         self.required: list[Symbol] = required
         self.optional: list[Param] = optional
-        self.rest: Optional[Symbol] = rest
-        self.keys: Optional[list[Param]] = keys  # None when &key is not written
+        self.rest: Symbol | None = rest
+        self.keys: list[Param] | None = keys  # None when &key is not written
         self.simple = not optional and rest is None and keys is None  # required only
 
 
@@ -42,7 +39,7 @@ def _bad(msg: str, form: Form) -> EvalError:
     return EvalError(msg, form.line, form.col, kind="malformed-lambda-list")
 
 
-def _claim(form: Form, seen: set, at: Optional[Form] = None) -> Symbol:
+def _claim(form: Form, seen: set, at: Form | None = None) -> Symbol:
     """The name ``form`` holds, added to ``seen``; a duplicate is reported at ``at``."""
     name = form.datum
     if not isinstance(name, Symbol) or name.name.startswith("&"):
@@ -64,8 +61,8 @@ def parse_lambda_list(form: Form) -> LambdaList:
         raise _bad(f"lambda list must be a list, got {form!r}", form)
     required: list[Symbol] = []
     optional: list[Param] = []
-    rest: Optional[Symbol] = None
-    keys: Optional[list[Param]] = None
+    rest: Symbol | None = None
+    keys: list[Param] | None = None
     seen: set[Symbol] = set()
     section = 0
     marker = None  # the last marker read

@@ -10,8 +10,6 @@ runs a by-name thunk's form, in place; force takes every other thunk.
 
 from __future__ import annotations
 
-import copy
-
 from .errors import EvalError
 from .reader import Form
 from .values import BuiltinFunction, FunctionObject, Symbol, Thunk, brief
@@ -36,11 +34,13 @@ def force(interp, value):
     its value is being computed a thunk's ``expr`` is the black hole, and
     forcing it again from inside that computation is a reentrant-force
     error, because its memo cell would otherwise be written more than once.
-    If the computation fails, the thunks on the chain get their forms back.
+    If the computation fails, each thunk on the chain not yet filled gets its form back.
     """
-    memoize = interp.memoize
     pending = None  # by need: each thunk on the chain, with its form
     try:
+        # A statement first, as in evaluate; pending is set before the try,
+        # so the handler can read it wherever an interrupt lands.
+        memoize = interp.memoize
         while isinstance(value, Thunk):
             t = value
             expr = t.expr
@@ -62,15 +62,16 @@ def force(interp, value):
             if interp._steps > interp.step_limit:
                 raise interp._out_of_steps(expr)
             value = interp.lookup(expr.datum, t.env, expr, follow=False)
-    except BaseException:
         if pending is not None:
+            for t, _ in pending:
+                t.value = value
+                t.expr = t.env = None
+    except BaseException:
+        if pending is not None:  # an interrupted backfill leaves its filled thunks filled
             for t, expr in pending:
-                t.expr = expr
+                if t.expr is _BLACKHOLE:
+                    t.expr = expr
         raise
-    if pending is not None:
-        for t, _ in pending:
-            t.value = value
-            t.expr = t.env = None
     return value
 
 
@@ -125,6 +126,7 @@ def eval_lazify(interp, form: Form, env):
         raise EvalError(f"{brief(value)} is not a function",
                         items[1].line, items[1].col, kind="not-a-function")
     if value.strict:
+        import copy   # here, so that starting clz does not load it
         value = copy.copy(value)
         value.strict, value.lazy = False, True
     return value

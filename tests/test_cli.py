@@ -1,5 +1,8 @@
 """End-to-end command line behavior via subprocesses."""
 
+import contextlib
+import io
+import os
 import resource
 import signal
 import subprocess
@@ -7,6 +10,8 @@ import sys
 
 import pytest
 
+import clz
+from clz import cli
 from clz.core import MAX_RECURSION_LIMIT
 
 CLZ = [sys.executable, "-m", "clz"]
@@ -453,3 +458,76 @@ class TestInterrupt:
         assert proc.returncode == 130
         assert out == ""
         assert err == f"{origin}: interrupted\n"
+
+
+class TestOptions:
+    """The CLI reads its own options: each spelled in full, a value given as
+    --opt VALUE or --opt=VALUE and taken as written, even when it starts with -."""
+
+    def test_an_eval_text_may_start_with_a_dash(self):
+        proc = run_clz("--eval", "-x")
+        assert proc.returncode == 1
+        assert proc.stderr == "<eval>:1:1: unbound-symbol: unbound symbol -X\n"
+        proc = run_clz("--eval", "-1")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-1\n", "")
+
+    def test_a_dash_text_run_in_process_is_an_exit_code(self):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["--step-limit", "20000", "--eval", "-0007("])
+        assert code == 1
+        assert err.getvalue() == "<eval>:1:6: read-error: unclosed parenthesis\n"
+
+    def test_both_spellings_of_a_value(self):
+        for argv in (["--step-limit", "100", "--eval", "(loop)"],
+                     ["--step-limit=100", "--eval=(loop)"]):
+            proc = run_clz(*argv)
+            assert proc.returncode == 3
+            assert proc.stderr == "<eval>:1:1: step-limit: step limit of 100 exceeded\n"
+
+    def test_help_names_every_option(self):
+        for flag in ("-h", "--help"):
+            proc = run_clz(flag)
+            assert proc.returncode == 0
+            assert proc.stderr == ""
+            for name in ("FILE", "--eval FORM", "--memoize", "--step-limit N",
+                         "--recursion-limit N", "-h, --help"):
+                assert name in proc.stdout
+
+    def test_help_to_a_closed_stdout_exits_one_without_a_traceback(self):
+        proc = subprocess.Popen(CLZ + ["--help"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()   # before the child writes anything
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--mem", "--eval", "1"], "unrecognized arguments: --mem"),
+        (["--memoize=1", "--eval", "1"], "unrecognized arguments: --memoize=1"),
+        (["a", "b", "-q"], "unrecognized arguments: b"),
+        (["--eval"], "argument --eval: expected one argument"),
+        (["--eval", "1", "--step-limit"], "argument --step-limit: expected one argument"),
+        (["--step-limit", "x"], "argument --step-limit: invalid int value: 'x'"),
+        (["--recursion-limit="], "argument --recursion-limit: invalid int value: ''"),
+        (["--recursion-limit", "-2"], "argument --recursion-limit: must be positive"),
+        (["prog.lisp", "--eval", "1"], "give a FILE or --eval, not both"),
+    ], ids=["abbreviation", "flag-with-value", "extra", "eval-value", "last-value",
+            "not-an-int", "empty-int", "not-positive", "file-and-eval"])
+    def test_a_bad_command_line_is_a_usage_error(self, argv, message):
+        proc = run_clz(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: clz ")
+        assert proc.stderr.endswith(f"clz: error: {message}\n")
+
+    def test_importing_the_cli_loads_no_option_parser_copy_or_typing(self):
+        # -S: no site module, which on some hosts imports typing itself
+        src = os.path.dirname(os.path.dirname(clz.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, clz.cli; print(*sys.modules, sep='\\n')"],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "clz.cli" in loaded
+        assert loaded.isdisjoint({"argparse", "gettext", "locale", "copy", "typing"})
