@@ -4,10 +4,10 @@ that every Interpreter's global frame starts as a copy of.
 Arithmetic is signed 64-bit. Two integer operands with an in-range
 result take a direct path; any other call folds, checking each
 operand's type and each partial result's range where the fold reaches
-it. car/cdr of nil are nil; funcall is a strict call that evaluate's
-loop or Interpreter.apply resolves, so it cannot enter a lazy-only function.
-tick!/ticks expose the per-interpreter effect counter, and diverge is
-the testable stand-in for a non-terminating form.
+it. car and cdr share one body, and give nil of nil; funcall is a strict
+call that evaluate's loop or Interpreter.apply resolves, so it cannot
+enter a lazy-only function. tick!/ticks expose the per-interpreter effect
+counter, and diverge is the testable stand-in for a non-terminating form.
 """
 
 from __future__ import annotations
@@ -99,22 +99,16 @@ def _bi_cons(interp, args):
     return Cons(args[0], args[1])
 
 
-def _bi_car(interp, args):
-    v = args[0]
-    if v is NIL:
-        return NIL
-    if isinstance(v, Cons):
-        return v.car
-    raise EvalError(f"car expects a cons or nil, got {brief(v)}", kind="type-error")
-
-
-def _bi_cdr(interp, args):
-    v = args[0]
-    if v is NIL:
-        return NIL
-    if isinstance(v, Cons):
-        return v.cdr
-    raise EvalError(f"cdr expects a cons or nil, got {brief(v)}", kind="type-error")
+def _part(name: str):
+    """car or cdr: the cons's field of that name, and nil of nil."""
+    def _bi_part(interp, args):
+        v = args[0]
+        if v is NIL:
+            return NIL
+        if isinstance(v, Cons):
+            return getattr(v, name)
+        raise EvalError(f"{name} expects a cons or nil, got {brief(v)}", kind="type-error")
+    return _bi_part
 
 
 def _bi_list(interp, args):
@@ -157,8 +151,8 @@ BUILTINS = {Symbol.intern(name): BuiltinFunction(Symbol.intern(name), fn, lo, hi
     ("=", _bi_num_eq, 1, None),
     ("<", _bi_num_lt, 1, None),
     ("cons", _bi_cons, 2, 2),
-    ("car", _bi_car, 1, 1),
-    ("cdr", _bi_cdr, 1, 1),
+    ("car", _part("car"), 1, 1),
+    ("cdr", _part("cdr"), 1, 1),
     ("list", _bi_list, 0, None),
     ("funcall", None, 1, None),  # evaluate or apply calls its first argument
     ("not", _bi_not, 1, 1),

@@ -2,15 +2,16 @@
 
 A lexical frame is a plain dict from symbols to values. Its private key
 _PARENT holds the enclosing frame, None in the global frame; a lazy call's
-frame also holds the private key _LAZY. An Interpreter owns a global frame,
-the effect/thunk counters, and the step and depth budgets. Laziness shows
-up here in two places: a symbol read forces a thunk found in a lazy frame's
-slot (one rule: lookup applies it, and evaluate's loop applies it in place
-for a bare symbol or an operand), and the binder has a lazy mode that builds
-that frame. evaluate's loop enters a strict function, a builtin given an
-argument count in its arity, and a funcall of a strict function itself,
-and reads a quoted operand's value, which the quote's first dispatch made;
-lazy-call enters a lazy function; apply decides every other call.
+frame also holds the private key _LAZY, which only a slot read looks for.
+An Interpreter owns a global frame, the effect/thunk counters, and the step
+and depth budgets. Laziness shows up here in two places: a symbol read forces
+a thunk found in a lazy frame's slot (one rule: lookup applies it, and
+evaluate's loop applies it in place for a bare symbol or an operand), and the
+binder's lazy mode, an argument that its helpers take too, builds that frame.
+evaluate's loop enters a strict function, a builtin given an argument count in
+its arity, and a funcall of a strict function itself, and reads a quoted
+operand's value, which the quote's first dispatch made; lazy-call enters a lazy
+function; apply decides every other call, and words a builtin's arity error.
 """
 
 from __future__ import annotations
@@ -255,19 +256,19 @@ class Interpreter:
 
     def apply(self, fn, args: list, lazy: bool = False):
         """Apply a function to its arguments: the one place that refuses a
-        call, forces a lazy call's arguments for a builtin, or calls through
-        funcall.
+        call, words a builtin's arity error, forces a lazy call's arguments
+        for a builtin, or calls through funcall.
 
         evaluate's loop enters a strict call of a strict function, of a
         builtin given an argument count in its arity, or of a strict function
-        through funcall, and lazy-call a lazy function, without coming here.
-        A strict call passes evaluated
-        values; a lazy call (from lazy-call) passes values and thunks, and
-        a builtin gets its arguments forced. A function's body is not run
-        here: the result is the tail (body, bound frame). funcall becomes a
-        strict call of its first argument, where a symbol names a global
-        function. An error raised here has no position; the evaluate call
-        around it gives it the calling form's.
+        through funcall, and lazy-call a lazy function, without coming here;
+        so a function bound here is bound strictly. A strict call passes
+        evaluated values; a lazy call (from lazy-call) passes values and
+        thunks, and a builtin gets its arguments forced before its arity is
+        checked. A function's body is not run here: the result is the tail
+        (body, bound frame). funcall becomes a strict call of its first
+        argument, where a symbol names a global function. An error raised here
+        has no position; the evaluate call around it gives it the calling form's.
         """
         while True:
             kind = type(fn)
@@ -279,28 +280,25 @@ class Interpreter:
                                     kind="no-lazy-version")
                 raise EvalError(f"{brief(fn)} has the lazy calling convention; "
                                 "call it with lazy-call", kind="lazy-through-strict")
-            if kind is FunctionObject:
-                return fn.body, self.bind_lambda_list(fn, args, lazy)
+            if kind is FunctionObject:  # strict: lazy-call binds a lazy function itself
+                return fn.body, self.bind_lambda_list(fn, args, False)
             if lazy:
                 args = [force(self, a) for a in args]
             n = len(args)
             if n < fn.min_args or (fn.max_args is not None and n > fn.max_args):
-                self._check_builtin_arity(fn, n)
+                if fn.max_args is None:
+                    shape = f"at least {fn.min_args}"
+                elif fn.min_args == fn.max_args:
+                    shape = str(fn.min_args)
+                else:
+                    shape = f"{fn.min_args} to {fn.max_args}"
+                raise EvalError(f"{_label(fn)} takes {shape} argument(s), got {n}",
+                                kind="arity-mismatch")
             if fn.fn is not None:
                 return fn.fn(self, args)
             fn, args, lazy = args[0], args[1:], False  # funcall
             if type(fn) is Symbol:
                 fn = self.lookup(fn, self.global_env)
-
-    def _check_builtin_arity(self, fn: BuiltinFunction, n: int):
-        """Raise the arity-mismatch error of a builtin given ``n`` arguments."""
-        if fn.max_args is None:
-            shape = f"at least {fn.min_args}"
-        elif fn.min_args == fn.max_args:
-            shape = str(fn.min_args)
-        else:
-            shape = f"{fn.min_args} to {fn.max_args}"
-        raise EvalError(f"{_label(fn)} takes {shape} argument(s), got {n}", kind="arity-mismatch")
 
     # ------------------------------------------------------------ binding
 
@@ -330,22 +328,22 @@ class Interpreter:
         if n == nreq and ll.simple:  # required parameters only, all given
             return frame
         for param in ll.optional:
-            self._bind_param(frame, param, args[i] if i < n else _MISSING)
+            self._bind_param(frame, param, args[i] if i < n else _MISSING, lazy)
             i += 1
         tail = args[i:]
         if ll.rest is not None:
             frame[ll.rest] = cons_list(tail)
         if ll.keys is not None:
-            pairs = self._keyword_pairs(frame, fn, tail)
+            pairs = self._keyword_pairs(fn, tail, lazy)
             for param in ll.keys:
-                self._bind_param(frame, param, pairs.get(param.keyword, _MISSING))
+                self._bind_param(frame, param, pairs.get(param.keyword, _MISSING), lazy)
         elif tail and ll.rest is None:
             raise EvalError(
                 f"{_label(fn)} expected at most {len(ll.required) + len(ll.optional)} "
                 f"argument(s), got {n}", kind="arity-mismatch")
         return frame
 
-    def _keyword_pairs(self, frame: dict, fn: FunctionObject, tail: list) -> dict:
+    def _keyword_pairs(self, fn: FunctionObject, tail: list, lazy: bool) -> dict:
         label = _label(fn)
         if len(tail) % 2 != 0:
             raise EvalError(f"{label} received an odd number of keyword arguments",
@@ -353,7 +351,7 @@ class Interpreter:
         known = {key.keyword for key in fn.lambda_list.keys}
         pairs: dict = {}
         for marker, value in zip(tail[0::2], tail[1::2]):
-            if type(marker) is Thunk and _LAZY in frame:
+            if lazy and type(marker) is Thunk:
                 marker = force(self, marker)
             if not isinstance(marker, Keyword):
                 raise EvalError(f"{label} expected a keyword marker, got {brief(marker)}",
@@ -365,11 +363,11 @@ class Interpreter:
                 pairs[marker] = value
         return pairs
 
-    def _bind_param(self, frame: dict, param: Param, value):
+    def _bind_param(self, frame: dict, param: Param, value, lazy: bool):
         """Bind an &optional or &key parameter, and its supplied-p flag.
 
         A ``value`` of _MISSING means no argument was given: the default
-        is evaluated now in a strict frame, thunked in a lazy one.
+        is evaluated now in strict mode, thunked in ``lazy`` mode.
         """
         supplied = T
         if value is _MISSING:
@@ -379,7 +377,7 @@ class Interpreter:
             else:
                 # the default sees the parameters bound so far, not later ones
                 seen = frame.copy()
-                if _LAZY in frame:
+                if lazy:
                     value = delay(self, param.default, seen)
                 else:
                     value = self.evaluate(param.default, seen)

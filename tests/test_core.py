@@ -331,6 +331,20 @@ class TestApplication:
         source = "\n  " + template.format(name, args)
         assert _outcome(interp, source)[0] == ("arity-mismatch", message, "2:3")
 
+    # The arguments are evaluated, and a lazy call's forced, before the
+    # builtin's arity is checked.
+    @pytest.mark.parametrize("memoize", [False, True], ids=["by-name", "by-need"])
+    @pytest.mark.parametrize("source", [
+        "(car (tick!) (tick!))",
+        "(lazy-call (lazy #'car) (tick!) (tick!))",
+        "(lazy-call (lazy #'funcall) #'car (tick!) (tick!))",
+    ], ids=["call", "lazy-call", "lazy-funcall"])
+    def test_builtin_arity_is_checked_after_the_arguments(self, memoize, source):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        assert _outcome(interp, source)[0] == (
+            "arity-mismatch", "CAR takes 1 argument(s), got 2", "1:1")
+        assert interp.tick_count == 2
+
     def test_error_carries_position(self, interp):
         with pytest.raises(EvalError) as exc:
             interp.run("\n  (boom)")
@@ -471,6 +485,17 @@ class TestLambdaListBinding:
     def test_keyword_alias(self, interp):
         interp.run("(defun k2 (x &key ((:y yy) 10)) (+ x yy))")
         assert interp.run("(k2 1 :y 5)") == 6
+
+    # Two parameters may share a keyword: both bind the one argument.
+    @pytest.mark.parametrize("memoize, printed, ticks", [(False, "(1 2)", 2), (True, "(1 1)", 1)],
+                             ids=["by-name", "by-need"])
+    def test_two_keys_that_share_a_keyword(self, memoize, printed, ticks):
+        interp = Interpreter(memoize=memoize, prelude=False)
+        interp.run("(deflazy f (&key ((:a x)) ((:a y))) (list x y))")
+        assert print_value(interp.run("(lazy-call 'f :a (tick!))")) == printed
+        assert interp.tick_count == ticks
+        assert print_value(interp.run("(f :a (tick!))")) == f"({ticks + 1} {ticks + 1})"
+        assert interp.tick_count == ticks + 1
 
     def test_keyword_supplied_p(self, interp):
         interp.run("(defun k3 (&key (y 0 sp)) (if sp y 'missing))")
