@@ -1,13 +1,14 @@
 """Primitive functions: one table of builtin objects, built at import,
 that every Interpreter's global frame starts as a copy of.
 
-Arithmetic is signed 64-bit. Two integer operands with an in-range
-result take a direct path; any other call folds, checking each
-operand's type and each partial result's range where the fold reaches
-it. car and cdr share one body, and give nil of nil; funcall is a strict
-call that evaluate's loop or Interpreter.apply resolves, so it cannot
-enter a lazy-only function. tick!/ticks expose the per-interpreter effect
-counter, and diverge is the testable stand-in for a non-terminating form.
+Arithmetic is signed 64-bit: +, - and * share one checked fold, = and <
+one checked comparison. Two integer operands (and an in-range result)
+take a direct path; any other call checks each operand's type and each
+partial result's range where its walk reaches it. car and cdr share one
+body, and give nil of nil; funcall is a strict call that evaluate's loop
+or Interpreter.apply resolves, so it cannot enter a lazy-only function.
+tick!/ticks expose the per-interpreter effect counter, and diverge is the
+testable stand-in for a non-terminating form.
 """
 
 from __future__ import annotations
@@ -70,29 +71,22 @@ def _bi_add1(interp, args):
     return a + 1
 
 
-def _bi_num_eq(interp, args):
-    if len(args) == 2 and type(args[0]) is int and type(args[1]) is int:
-        return T if args[0] == args[1] else NIL
-    first = args[0]
-    for a in args:
-        if type(a) is not int:
-            raise _not_int("=", a)
-        if a != first:
-            return NIL
-    return T
-
-
-def _bi_num_lt(interp, args):
-    if len(args) == 2 and type(args[0]) is int and type(args[1]) is int:
-        return T if args[0] < args[1] else NIL
-    prev = None
-    for a in args:
-        if type(a) is not int:
-            raise _not_int("<", a)
-        if prev is not None and not prev < a:
-            return NIL
-        prev = a
-    return T
+def _compare(name: str, op):
+    """The checked chain of = or <: T if ``op`` holds for each adjacent pair."""
+    def _bi_compare(interp, args):
+        if len(args) == 2:  # two integers: no loop
+            a, b = args
+            if type(a) is int and type(b) is int:
+                return T if op(a, b) else NIL
+        if type(args[0]) is not int:
+            raise _not_int(name, args[0])
+        for prev, a in zip(args, args[1:]):
+            if type(a) is not int:
+                raise _not_int(name, a)
+            if not op(prev, a):
+                return NIL
+        return T
+    return _bi_compare
 
 
 def _bi_cons(interp, args):
@@ -148,8 +142,8 @@ BUILTINS = {Symbol.intern(name): BuiltinFunction(Symbol.intern(name), fn, lo, hi
     ("-", _fold("-", operator.sub, 0), 1, None),
     ("*", _fold("*", operator.mul, 1), 0, None),
     ("1+", _bi_add1, 1, 1),
-    ("=", _bi_num_eq, 1, None),
-    ("<", _bi_num_lt, 1, None),
+    ("=", _compare("=", operator.eq), 1, None),
+    ("<", _compare("<", operator.lt), 1, None),
     ("cons", _bi_cons, 2, 2),
     ("car", _part("car"), 1, 1),
     ("cdr", _part("cdr"), 1, 1),

@@ -195,10 +195,8 @@ class Reader:
 def _atom_datum(lexeme: str, line: int, col: int):
     """The datum an atom's spelling denotes: an integer, keyword, T, NIL or symbol."""
     if _INTEGER.fullmatch(lexeme):
-        if len(lexeme) < 20:
-            value = int(lexeme)
-        else:  # int() takes at most 4,300 digits; 20 past sign and zeros are out of range
-            value = int(lexeme.lstrip("+-0")[:20] or 0) * (-1 if lexeme[0] == "-" else 1)
+        # int() takes at most 4,300 digits; 20 past sign and zeros are out of range
+        value = int(lexeme.lstrip("+-0")[:20] or 0) * (-1 if lexeme[0] == "-" else 1)
         if not INT_MIN <= value <= INT_MAX:
             raise ReadError(f"integer literal {cut(lexeme)} outside the 64-bit signed range",
                             line, col)

@@ -29,13 +29,14 @@ _LIMITS = ["--step-limit", "20000", "--recursion-limit", "500"]
 
 
 def run_main(argv, stdin=""):
+    """Run ``cli.main`` in-process: its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO(stdin)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(_LIMITS + argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    return code
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCliFuzz:
@@ -48,18 +49,8 @@ class TestCliFuzz:
             path = os.path.join(tmp, "prog.lisp")
             with open(path, "wb") as fh:
                 fh.write(text.encode() + tail)
-            code = run_main([path])
+            code, _, _ = run_main([path])
         assert (code == 2) == bool(tail)  # only bytes that are not UTF-8 fail to read
-
-
-def run_main_captured(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO("")), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(_LIMITS + argv)
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestRepeatedEvalFuzz:
@@ -67,8 +58,8 @@ class TestRepeatedEvalFuzz:
     @given(st.lists(st.lists(_PIECES, max_size=6).map("".join), min_size=1, max_size=3))
     def test_texts_run_in_order_up_to_the_first_failure(self, texts):
         argv = [arg for text in texts for arg in ("--eval", text)]
-        code, out, err = run_main_captured(argv)
-        first_code, first_out, first_err = run_main_captured(argv[:2])
+        code, out, err = run_main(argv)
+        first_code, first_out, first_err = run_main(argv[:2])
         if first_code:  # the first text failed, so no later text ran
             assert (code, out, err) == (first_code, first_out, first_err)
         else:  # the first text's output comes first, whatever follows

@@ -16,7 +16,8 @@ import clz
 from clz import Interpreter
 from clz.lazy import _BLACKHOLE
 from clz.reader import read_source
-from clz.values import NIL, Cons, FunctionObject, Thunk
+from clz.values import Cons, FunctionObject, Thunk
+from tests.conftest import to_py
 
 COUNT = "(defun count (n) (if (= n 0) 0 (count (- n 1))))"
 # A by-need stream whose every head is a thunk over a lazy frame's variable:
@@ -34,14 +35,6 @@ def run(interp, text):
     for form in read_source(text):
         value = interp.eval_top(form)
     return value
-
-
-def to_list(value):
-    items = []
-    while value is not NIL:
-        items.append(value.car)
-        value = value.cdr
-    return items
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
@@ -91,7 +84,7 @@ class TestTimedInterrupts:
             run(interp, "(defparameter s (my-ints 0))")
             hits += alarm(interp, "(stream-take s 300)", rng.uniform(0.0001, 0.012))
             assert interp._depth == 0
-            assert to_list(run(interp, "(stream-take s 300)")) == list(range(300))
+            assert to_py(run(interp, "(stream-take s 300)")) == list(range(300))
         assert hits > 40  # the timers land inside the runs, not only around them
 
 

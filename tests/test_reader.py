@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clz import NIL, Cons, EvalError, Interpreter, Keyword, Symbol, T, print_value
@@ -540,6 +540,23 @@ class TestReaderProperties:
             else:
                 assert at == 0 or not _ATOM_LEXEME.match(text, at - 1)
                 assert data(_ATOM_LEXEME.match(rest).group()) == [datum]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.from_regex(r"[+-]?0{0,3}[0-9]{17,22}", fullmatch=True))
+    @example("9223372036854775807")
+    @example("-9223372036854775808")
+    @example("9223372036854775808")
+    @example("-0009223372036854775809")
+    def test_integer_spellings_read_as_python_int_says(self, text):
+        # 17 to 26 characters: values on both sides of the 64-bit edges, and
+        # spellings both shorter and longer than 20 characters
+        value = int(text)
+        if -(2 ** 63) <= value < 2 ** 63:
+            assert data(f"(x {text})") == [[sym("X"), value]]
+        else:
+            err = read_error(f"(x {text})")
+            assert err.message == f"integer literal {text} outside the 64-bit signed range"
+            assert (err.line, err.col) == (1, 4) and not err.incomplete
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.one_of(st.text(alphabet=_READER_ALPHABET, max_size=60), _SPACED_SOURCES))

@@ -144,6 +144,29 @@ class TestArithmetic:
             got = err.kind, err.message
         assert got == expected
 
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.sampled_from(["<", "="]),
+           st.lists(st.sampled_from(_EDGES + sorted(_NOT_INTS)) | st.integers(INT_MIN, INT_MAX),
+                    min_size=1, max_size=4))
+    def test_one_to_four_operands_match_a_python_reference(self, op, operands):
+        # each operand is checked where the walk reaches it, and the walk
+        # stops at the first adjacent pair that fails
+        expected = T
+        for i, x in enumerate(operands):
+            if type(x) is not int:
+                expected = "type-error", f"{op} expects integers, got {_NOT_INTS[x]}"
+                break
+            if i and not _TWO_OPERAND_OPS[op](operands[i - 1], x):
+                expected = NIL
+                break
+        interp = Interpreter(prelude=False)
+        try:
+            got = interp.run(f"(progn\n  ({op} {' '.join(map(str, operands))}))")
+        except EvalError as err:
+            assert err.where() == "2:3"
+            got = err.kind, err.message
+        assert got == expected
+
 
 class TestListsAndPredicates:
     def test_cons_car_cdr(self, interp):
